@@ -249,10 +249,11 @@ class HunspellDictionary:
             elif key == "REP" and len(parts) > 2:
                 self.rep_table.append((parts[1], parts[2]))
             elif key == "BREAK" and len(parts) > 1:
-                if parts[1].isdigit():
-                    self.break_table = []       # explicit table replaces
-                    # the default (BREAK 0 turns breaking off entirely)
-                else:
+                # an explicit table replaces the default (BREAK 0 turns
+                # breaking off entirely); entries may precede the count line
+                if self.break_table is None:
+                    self.break_table = []
+                if not parts[1].isdigit():
                     self.break_table.append(parts[1])
             if key == "FLAG" and len(parts) > 1:
                 self.flag_mode = {"long": "long", "num": "num",

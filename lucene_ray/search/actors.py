@@ -20,92 +20,28 @@ from .scorer import RELATION_EQ, RELATION_GTE
 from .searcher import IndexSearcher, ScoreDoc, TopDocs
 
 
-@ray.remote(num_cpus=0)
-class ThetaBoard:
-    """Cross-actor min-competitive-score exchange
-    (`search/MaxScoreAccumulator.java` analogue): per query, each actor
-    publishes its running k-th-score lower bound + hit count; others raise
-    their WAND pruning threshold with the global max.  Entries are evicted
-    FIFO so the board stays O(live queries)."""
-
-    def __init__(self, cap: int = 4096):
-        from collections import OrderedDict
-
-        self._q = OrderedDict()
-        self._cap = cap
-
-    def update(self, qid: str, actor_id: int, theta: float, collected: int):
-        ent = self._q.get(qid)
-        if ent is None:
-            ent = self._q[qid] = {}
-            while len(self._q) > self._cap:
-                self._q.popitem(last=False)
-        ent[actor_id] = (theta, collected)
-
-    def get(self, qid: str, actor_id: int):
-        ent = self._q.get(qid)
-        if not ent:
-            return float("-inf"), 0
-        thetas = [v[0] for a, v in ent.items() if a != actor_id]
-        coll = sum(v[1] for a, v in ent.items() if a != actor_id)
-        return (max(thetas) if thetas else float("-inf")), coll
-
-
 @ray.remote
 class QueryActor:
-    def __init__(self, index_dir: str, pids: list[int], use_wand: bool = True,
-                 board=None, actor_id: int = 0):
-        self.searcher = IndexSearcher(index_dir, use_wand=use_wand)
+    def __init__(self, index_dir: str, pids: list[int]):
+        self.searcher = IndexSearcher(index_dir)
         self.pids = pids
-        self.board = board
-        self.actor_id = actor_id
         # eager mmap open (the expensive part amortized across queries)
         self.readers = {pid: self.searcher.reader(pid) for pid in pids}
         self.bases = {pid: self.searcher._bases[pid] for pid in pids}
 
-    def search(self, compiled: dict, k: int, after=None, threshold: int = 1000,
-               qid: str | None = None):
+    def search(self, compiled: dict, k: int, after=None, threshold: int = 1000):
         if self.searcher.query_cache is not None:
             self.searcher.query_cache.begin_search()
         out_scores, out_gids, out_pids, out_local = [], [], [], []
         total = 0
         relation = RELATION_EQ
-        share = self.board is not None and qid is not None and after is None
-        run_scores = np.zeros(0, dtype=np.float32)   # running local top-k scores
-        ext_theta, ext_coll = float("-inf"), 0
-        pending = None          # in-flight board fetch (never block on it)
-        last_pub = -np.inf      # per-QUERY publish throttle state
-        for si, pid in enumerate(self.pids):
+        for pid in self.pids:
             rdr = self.readers[pid]
             base = self.bases[pid]
             local_after = None if after is None else (after[0], after[1] - base)
-            if share and si > 0:
-                # non-blocking floor refresh: harvest the previous fetch if
-                # it landed, then launch the next — scoring never waits on
-                # the board (MaxScoreAccumulator's relaxed-read model)
-                if pending is not None:
-                    done, _ = ray.wait([pending], timeout=0)
-                    if done:
-                        t_new, c_new = ray.get(done[0])
-                        if t_new > ext_theta:
-                            ext_theta = t_new
-                        ext_coll = max(ext_coll, c_new)
-                        pending = None
-                if pending is None:
-                    pending = self.board.get.remote(qid, self.actor_id)
             scores, local_docs, t, rel = self.searcher.search_shard(
-                rdr, compiled, k, after=local_after, total_hits_threshold=threshold,
-                ext_theta=ext_theta, ext_collected=ext_coll)
+                rdr, compiled, k, after=local_after, total_hits_threshold=threshold)
             total += t
-            if share:
-                run_scores = np.sort(np.concatenate((run_scores, scores)))[::-1][:k]
-                if len(run_scores) == k:
-                    floor = float(run_scores[-1])
-                    # publish only on meaningful improvement — bounds board
-                    # traffic (MaxScoreAccumulator's epoch-throttling role)
-                    if floor > last_pub * 1.001 or last_pub == -np.inf:
-                        last_pub = floor
-                        self.board.update.remote(qid, self.actor_id, floor, total)
             if rel == RELATION_GTE:
                 relation = RELATION_GTE
             if len(local_docs):
@@ -156,10 +92,10 @@ class QueryService:
     """Driver-side facade over the actor pool (parse → compile → scatter →
     gather → TopDocs.merge)."""
 
-    def __init__(self, index_dir: str, num_actors: int = 4, use_wand: bool = True,
-                 num_cpus_per_actor: float = 1, share_theta: bool = True):
+    def __init__(self, index_dir: str, num_actors: int = 4,
+                 num_cpus_per_actor: float = 1):
         self.index_dir = index_dir
-        self.searcher = IndexSearcher(index_dir, use_wand=use_wand)  # stats + compile
+        self.searcher = IndexSearcher(index_dir)  # stats + compile
         commit = self.searcher.commit
         shards = sorted(commit["shards"], key=lambda m: -m["doc_count"])
         num_actors = max(1, min(num_actors, len(shards)))
@@ -173,52 +109,12 @@ class QueryService:
         assign = [pids for pids in assign if pids]
         self._assign = assign
         self._doc_counts = {m["pid"]: m["doc_count"] for m in shards}
-        # cross-actor min-competitive sharing only pays when actors hold
-        # multiple shards each (the floor is fetched between shards)
-        self.board = ThetaBoard.remote() if (
-            share_theta and len(assign) > 1 and any(len(p) > 1 for p in assign)
-        ) else None
         self.actors = [
             QueryActor.options(num_cpus=num_cpus_per_actor).remote(
-                index_dir, sorted(pids), use_wand, board=self.board, actor_id=i)
-            for i, pids in enumerate(assign)
+                index_dir, sorted(pids))
+            for pids in assign
         ]
         ray.get([a.ping.remote() for a in self.actors])
-        self._qseq = 0
-
-    def _next_qid(self) -> str:
-        self._qseq += 1
-        return f"q{self._qseq}"
-
-    def _qid_for(self, compiled) -> str | None:
-        """Theta sharing pays only on SELECTIVE scoring queries that take the
-        WAND path per shard — hot disjunctions route to the vectorized TAAT
-        accumulator where the shared floor is never consulted, so the board
-        RPCs would be pure overhead (measured: p50 49->63ms on hot terms).
-        Gate with the same density heuristic the per-shard cost router uses,
-        evaluated on global stats."""
-        if self.board is None:
-            return None
-        scoring = compiled.get("scoring")
-        if not scoring or compiled.get("filters") or compiled.get("must_nots"):
-            return None
-        total_df = sum(self.searcher.df(t) for t, _, _ in scoring)
-        if total_df > 0.15 * max(self.searcher.doc_count, 1):
-            # dense queries historically shared nothing (TAAT never reads
-            # the floor — r2 measured pure overhead), EXCEPT the round-5
-            # maxscore path: dense pure disjunctions consult ext_theta to
-            # skip non-essential hot terms, so the floor pays there
-            from .query import SHOULD
-
-            pure_disj = (len(scoring) >= 2
-                         and all(o == SHOULD for _, _, o in scoring)
-                         and compiled.get("msm", 0) <= 1
-                         and not compiled.get("range_filters")
-                         and not compiled.get("range_must_nots")
-                         and getattr(self.searcher.sim, "wand_safe", True))
-            if not pure_disj:
-                return None
-        return self._next_qid()
 
     def search(self, query, k: int = 10, after=None, threshold: int = 1000,
                timeout_ms: float | None = None) -> TopDocs:
@@ -228,8 +124,7 @@ class QueryService:
         the pool stays warm) and the partial merge returns timed_out=True
         with a GTE total, exactly like the local searcher's partialResult."""
         compiled = self.searcher.compile(query)
-        qid = self._qid_for(compiled)
-        futs = [a.search.remote(compiled, k, after, threshold, qid) for a in self.actors]
+        futs = [a.search.remote(compiled, k, after, threshold) for a in self.actors]
         if timeout_ms is None:
             return self._merge(ray.get(futs), k)
         done, pending = ray.wait(futs, num_returns=len(futs),
@@ -247,12 +142,9 @@ class QueryService:
 
     def search_many(self, queries, k: int = 10) -> list[TopDocs]:
         """Pipeline a batch of queries across the pool (keeps all actors
-        busy).  Theta sharing stays OFF here: it trades board-actor traffic
-        for per-query latency, and in batch/throughput mode the board
-        serializes thousands of tiny messages (measured QPS drop) while
-        pipelining already hides per-query latency."""
+        busy)."""
         compiled = [self.searcher.compile(q) for q in queries]
-        futs = [[a.search.remote(c, k, None, 1000, None)
+        futs = [[a.search.remote(c, k, None, 1000)
                  for a in self.actors] for c in compiled]
         return [self._merge(ray.get(f), k) for f in futs]
 
@@ -291,7 +183,4 @@ class QueryService:
     def shutdown(self):
         for a in self.actors:
             ray.kill(a)
-        if self.board is not None:
-            ray.kill(self.board)
-            self.board = None
         self.actors = []

@@ -73,16 +73,21 @@ class Geo3DCircleQuery:
     boost: float = 1.0
     planet: str = "sphere"
 
+    @property
+    def prune_radius_m(self) -> float:
+        """Radius for the spherical bbox prunes (point-tree cells and whole
+        shards).  WGS84 geodesics can be up to 0.56% shorter than the
+        spherical metric, so under WGS84 the radius is inflated by that
+        bound plus slack and no geodesic match is pruned."""
+        return self.radius_m * (1.008 if self.planet == "wgs84" else 1.0)
+
 
 def geo3d_circle_docs(preader, q: Geo3DCircleQuery) -> np.ndarray:
     """BKD bbox prune (same two-phase shape as LatLonPointDistanceQuery),
     then the 3-D cap test (sphere) or the Andoyer geodesic verify (wgs84)
     on decoded coordinates."""
-    # the bbox formulas are spherical; inflate the radius by the maximum
-    # sphere-vs-ellipsoid divergence (0.56% + slack) so the WGS84 prune
-    # stays conservative
-    prune_r = q.radius_m * (1.008 if q.planet == "wgs84" else 1.0)
-    min_lat, max_lat, min_lon, max_lon = circle_bbox(q.lat, q.lon, prune_r)
+    min_lat, max_lat, min_lon, max_lon = circle_bbox(q.lat, q.lon,
+                                                     q.prune_radius_m)
     lat_lo, lat_hi = int(encode_latitude(min_lat)), \
         int(encode_latitude(max_lat))
     if min_lon <= max_lon:

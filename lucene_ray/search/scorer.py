@@ -1,30 +1,32 @@
-"""Per-shard query execution: exhaustive TAAT oracle + block-max WAND.
+"""Per-shard query execution over the posting-shard format.
 
-Two engines over the same shard format:
+Boolean scoring routes, all bit-identical in top-k docs and float32 scores
+(score desc, docID asc tie-break) — asserted by tests/test_routes.py:
 
-- :func:`search_shard_exhaustive` — vectorized term-at-a-time scoring into a
-  dense float32 accumulator (the CheckHits-style naive oracle,
-  `test-framework/.../CheckHits.java:57`), supporting the full boolean
-  algebra (SHOULD/MUST/FILTER/MUST_NOT + minimumNumberShouldMatch).
-- :class:`BlockMaxWand` — document-ordered block-at-a-time scoring with
-  block-max pruning for (pure disjunctive / conjunctive) scoring clauses:
-  the WANDScorer / ImpactsDISI / MaxScoreCache re-expression
-  (`search/WANDScorer.java:31-117`, `search/ImpactsDISI.java:92-124`,
-  `search/MaxScoreCache.java:60-112`) at 128-doc block granularity — a block
-  is skipped (never decoded) when the sum of participating per-block max
-  scores cannot beat the current k-th score, with Lucene's
-  totalHitsThreshold semantics (pruning arms only after `threshold` hits;
-  `IndexSearcher.java:101`, `TopScoreDocCollector.java:208-227`).
+- :func:`search_shard_exhaustive` — the CheckHits-style reference
+  (`test-framework/.../CheckHits.java:57`) for the full boolean algebra
+  (SHOULD/MUST/FILTER/MUST_NOT + minimumNumberShouldMatch).  It picks a
+  candidate route by shape: required-lead (MUST/FILTER bitmask intersect,
+  then clause-order scoring at candidates), msm-lead (uint8 match-count
+  scatter), or the dense term-at-a-time float32 accumulator.
+- :func:`search_shard_maxscore` — block-max pruning for dense pure
+  disjunctions: the MaxScoreBulkScorer essential/non-essential partition
+  (`search/MaxScoreBulkScorer.java`), bounding terms from the per-block
+  impact skylines (`search/MaxScoreCache.java:60-112`) and reading
+  non-essential terms through the skip tables only at surviving
+  candidates, with Lucene's totalHitsThreshold semantics (pruning arms only
+  after `threshold` hits; `IndexSearcher.java:101`).
 
-Both produce identical top-k (score desc, docID asc tie-break) — asserted by
-tests/test_wand.py.
+The reference's document-at-a-time WANDScorer has no separate engine here:
+per-window Python bookkeeping lost to these vectorized routes on every
+measured query shape.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..index.postings import BLOCK_SIZE, decode_block, decode_tail
+from ..index.postings import BLOCK_SIZE, decode_tail
 from .query import FILTER, MUST, MUST_NOT, SHOULD
 
 TOTAL_HITS_THRESHOLD = 1000
@@ -64,8 +66,6 @@ def search_shard_exhaustive(reader, compiled, k: int, after=None):
     must_nots [term], msm int, n_required int (MUST+FILTER count).
     Returns (scores f32[], local_docs i32[], total_hits, relation).
     """
-    n = reader.doc_count
-    norms = reader.norms
     # required-lead fast path: when MUST/FILTER clauses exist (and no
     # minShouldMatch), eligibility is their intersection — compute it with
     # dense bitmasks FIRST and score every clause only at candidate
@@ -82,6 +82,16 @@ def search_shard_exhaustive(reader, compiled, k: int, after=None):
             and not compiled.get("match_all")
             and 2 <= len(compiled["scoring"]) < 255):
         return _search_shard_msm_lead(reader, compiled, k, after)
+    return _search_shard_taat(reader, compiled, k, after)
+
+
+def _search_shard_taat(reader, compiled, k: int, after=None):
+    """Full term-at-a-time accumulator: decode and score every posting of
+    every clause into a dense float32 array (clause order), then apply the
+    boolean matching rules.  Handles every shape search_shard_exhaustive
+    accepts; the candidate routes are equivalent shortcuts."""
+    n = reader.doc_count
+    norms = reader.norms
     acc = np.zeros(n, dtype=np.float32)
     matched = np.zeros(n, dtype=bool)
     req_cnt = np.zeros(n, dtype=np.int16) if compiled["n_required"] else None
@@ -272,188 +282,6 @@ def _search_shard_msm_lead(reader, compiled, k: int, after=None):
     return sc, cand, total, RELATION_EQ
 
 
-class _TermState:
-    __slots__ = ("term", "scorer", "skip_offs", "skip_last", "block_max", "df",
-                 "payload", "bi", "prev_last", "consumed", "decoded", "n_blocks", "occur")
-
-    def __init__(self, reader, tid, term, scorer, occur):
-        self.term = term
-        self.scorer = scorer
-        self.occur = occur
-        self.df = int(reader._df[tid])
-        so, sl, ic, if_, in_ = reader.skip_data(tid)
-        self.skip_offs = so
-        self.skip_last = sl
-        self.n_blocks = len(so)
-        # per-block max score from impact skylines (MaxScoreCache equivalent),
-        # fully vectorized and similarity-agnostic: score EVERY skyline pair
-        # in one float32 call (skylines hold only a few pairs per block) and
-        # take the segmented max per block
-        if len(if_):
-            pair_scores = scorer.score(if_, in_)
-            block_of = np.repeat(np.arange(len(ic)), ic)
-            best = np.full(len(ic), -np.inf, dtype=np.float32)
-            np.maximum.at(best, block_of, pair_scores)
-            self.block_max = best.astype(np.float32)
-        else:
-            self.block_max = np.zeros(0, dtype=np.float32)
-        self.payload = reader.payload(tid)
-        self.bi = 0
-        self.prev_last = -1
-        self.consumed = -1          # last docID already scored
-        self.decoded = None         # (docs, freqs) of current block
-
-    @property
-    def exhausted(self):
-        return self.bi >= self.n_blocks
-
-    def cur_last(self):
-        return int(self.skip_last[self.bi])
-
-    def cur_max(self):
-        return self.block_max[self.bi]
-
-    def decode_cur(self, norms):
-        if self.decoded is None:
-            n_full = self.df // BLOCK_SIZE
-            if self.bi < n_full:
-                docs, freqs = decode_block(self.payload, int(self.skip_offs[self.bi]), self.prev_last)
-            else:
-                docs, freqs = decode_tail(self.payload, int(self.skip_offs[self.bi]),
-                                          self.df % BLOCK_SIZE, self.prev_last)
-            scores = self.scorer.score(freqs, norms[docs])
-            self.decoded = (docs, scores)
-        return self.decoded
-
-    def advance(self):
-        self.prev_last = self.cur_last()
-        self.consumed = self.prev_last
-        self.bi += 1
-        self.decoded = None
-
-
-class BlockMaxWand:
-    """Block-max WAND over scoring term clauses (pure SHOULD disjunction, or
-    pure MUST conjunction via `conjunctive=True`)."""
-
-    def __init__(self, reader, terms, k: int, *, conjunctive: bool = False,
-                 threshold: int = TOTAL_HITS_THRESHOLD, msm: int = 0,
-                 ext_theta: float = -np.inf, ext_collected: int = 0):
-        self.reader = reader
-        self.k = k
-        self.conjunctive = conjunctive
-        self.threshold = threshold
-        self.msm = max(msm, 1) if not conjunctive else 0
-        self.states = terms    # list[_TermState]
-        self.blocks_decoded = 0
-        self.blocks_skipped = 0
-        # cross-leaf min-competitive sharing (MaxScoreAccumulator.java): an
-        # external k-th-score lower bound and hit count from OTHER shards /
-        # actors — valid for pruning because the global k-th score only
-        # grows as more leaves merge.  Never added to this shard's totals.
-        self.ext_theta = float(ext_theta)
-        self.ext_collected = int(ext_collected)
-
-    def run(self, after=None):
-        norms = self.reader.norms
-        k = self.k
-        states = [s for s in self.states if not s.exhausted]
-        if self.conjunctive and len(states) < len(self.states):
-            return np.zeros(0, np.float32), np.zeros(0, np.int32), 0, RELATION_EQ
-
-        top_scores = np.zeros(0, dtype=np.float32)
-        top_docs = np.zeros(0, dtype=np.int32)
-        theta = -np.inf
-        collected = 0
-        pruned = False
-        ext_ready = (self.ext_theta > -np.inf
-                     and self.ext_collected >= self.threshold)
-
-        while states:
-            w_hi = min(s.cur_last() for s in states)
-            parts = [s for s in states if s.prev_last < w_hi]
-            # Upward-rounding compensation (MaxScoreSumPropagator.sumUpperBound):
-            # doc scores accumulate in float32 and can round above the exact
-            # float64 sum of block maxes, so inflate the bound by ~2n ulps.
-            ub = float(sum(float(s.cur_max()) for s in parts))
-            ub *= 1.0 + 2.0 * len(parts) * 2.0 ** -24
-            prune_ready = (len(top_docs) >= k and collected >= self.threshold) \
-                or ext_ready
-            if ext_ready and self.ext_theta > theta:
-                theta = self.ext_theta
-            if self.conjunctive and len(parts) < len(states):
-                # a MUST term has no docs in this window: leapfrog
-                # (BlockMaxConjunctionScorer-style block skip)
-                self.blocks_skipped += len(parts)
-                for s in parts:
-                    s.consumed = w_hi
-            elif prune_ready and ub <= theta:
-                self.blocks_skipped += len(parts)
-                pruned = True
-                for s in parts:
-                    s.consumed = w_hi
-            else:
-                cand_docs, cand_scores, cnt = [], [], []
-                for s in parts:
-                    docs, scores = s.decode_cur(norms)
-                    self.blocks_decoded += 1
-                    lo = np.searchsorted(docs, s.consumed, side="right")
-                    hi = np.searchsorted(docs, w_hi, side="right")
-                    if hi > lo:
-                        cand_docs.append(docs[lo:hi])
-                        cand_scores.append(scores[lo:hi])
-                    s.consumed = w_hi
-                if cand_docs:
-                    d = np.concatenate(cand_docs)
-                    sc = np.concatenate(cand_scores)
-                    order = np.argsort(d, kind="stable")
-                    d, sc = d[order], sc[order]
-                    uniq_mask = np.empty(len(d), dtype=bool)
-                    uniq_mask[0] = True
-                    np.not_equal(d[1:], d[:-1], out=uniq_mask[1:])
-                    starts = np.nonzero(uniq_mask)[0]
-                    udocs = d[starts]
-                    nmatch = np.diff(np.concatenate((starts, [len(d)])))
-                    # left-to-right float32 accumulation in clause order (the
-                    # stable sort keeps per-doc contributions in clause order),
-                    # bit-identical to the TAAT accumulator / reference order
-                    usum = np.zeros(len(udocs), dtype=np.float32)
-                    for j in range(int(nmatch.max())):
-                        sel = nmatch > j
-                        usum[sel] += sc[starts[sel] + j]
-                    if self.conjunctive:
-                        sel = nmatch == len(self.states)
-                    else:
-                        sel = nmatch >= self.msm
-                    if self.reader.deleted is not None:
-                        sel = sel & ~self.reader.deleted[udocs]
-                    udocs, usum = udocs[sel], usum[sel]
-                    # count every match (pages before the cursor included)
-                    collected += int(len(udocs))
-                    if after is not None:
-                        a_s, a_d = np.float32(after[0]), after[1]
-                        keep = (usum < a_s) | ((usum == a_s) & (udocs.astype(np.int64) > a_d))
-                        udocs, usum = udocs[keep], usum[keep]
-                    if len(udocs):
-                        top_scores = np.concatenate((top_scores, usum))
-                        top_docs = np.concatenate((top_docs, udocs))
-                        if len(top_docs) > 4 * k + 64:
-                            top_scores, top_docs = _top_k(top_scores, top_docs, k)
-                        if len(top_docs) >= k:
-                            ts, td = _top_k(top_scores, top_docs, k)
-                            theta = float(ts[-1]) if len(ts) == k else -np.inf
-            for s in parts:
-                if s.cur_last() <= w_hi:
-                    s.advance()
-            states = [s for s in states if not s.exhausted]
-            if self.conjunctive and len(states) < len(self.states):
-                break   # a MUST term is exhausted: no further matches
-
-        top_scores, top_docs = _top_k(top_scores, top_docs, self.k)
-        relation = RELATION_GTE if pruned else RELATION_EQ
-        return top_scores, top_docs, collected, relation
-
-
 def _term_scores_at(reader, tid, scorer, docs_q: np.ndarray) -> np.ndarray:
     """float32 score contribution of term `tid` at the given sorted local
     docIDs (0 where the term does not match).  Decodes only the blocks that
@@ -479,6 +307,8 @@ def _term_scores_at(reader, tid, scorer, docs_q: np.ndarray) -> np.ndarray:
     bi_of = np.searchsorted(sl, docs_q, side="left")
     valid = bi_of < len(sl)
     blocks = np.unique(bi_of[valid])
+    if not len(blocks):             # every query doc lies past the last posting
+        return out
     n_full = df // BLOCK_SIZE
     if len(blocks) * 2 > len(sl) or n_full < 4:
         docs, freqs = reader.postings(tid)          # batched full decode
@@ -508,17 +338,14 @@ def _term_scores_at(reader, tid, scorer, docs_q: np.ndarray) -> np.ndarray:
 
 
 def search_shard_maxscore(reader, compiled, k: int, *,
-                          threshold: int = TOTAL_HITS_THRESHOLD,
-                          ext_theta: float = -np.inf, ext_collected: int = 0):
+                          threshold: int = TOTAL_HITS_THRESHOLD):
     """Impact-ordered TAAT for DENSE pure disjunctions — the
     MaxScoreBulkScorer essential/non-essential partition
     (`search/MaxScoreBulkScorer.java:1-120`) re-expressed for the
     vectorized accumulator engine.
 
-    The block-max WAND router sends high-density disjunctions to the TAAT
-    accumulator because per-window bookkeeping loses to one vectorized
-    scatter-add — but exhaustive TAAT decodes EVERY posting of EVERY term,
-    which is the 100M-doc p99 tail.  This path processes terms in
+    Exhaustive TAAT decodes EVERY posting of EVERY term, which is the
+    100M-doc p99 tail for dense disjunctions.  This path processes terms in
     max-impact-DESCENDING order and, before each term, checks whether the
     k-th partial score already exceeds the sum of the remaining terms'
     max scores (the MaxScore invariant): once it does, the remaining
@@ -529,7 +356,7 @@ def search_shard_maxscore(reader, compiled, k: int, *,
     Float32 exactness: partial sums accumulate in processing order, so a
     final CLAUSE-ORDER rescore of a small top pool (4k+64) reproduces the
     TAAT accumulator's left-to-right additions bit-identically; pruning
-    bounds carry the same upward-rounding compensation as the WAND path
+    bounds carry an upward-rounding compensation for float32 accumulation
     (MaxScoreSumPropagator.sumUpperBound) plus a symmetric downward slack
     on theta.  Applies to: all-SHOULD scoring clauses, msm <= 1, no
     filters / must_nots / ranges, no paging cursor.  Pruning arms only
@@ -555,7 +382,6 @@ def search_shard_maxscore(reader, compiled, k: int, *,
     infl = 1.0 + 2.0 * m * 2.0 ** -24          # upward-rounding compensation
     slack = 1.0 - 4.0 * m * 2.0 ** -24         # symmetric theta down-slack
     live = None if reader.deleted is None else ~reader.deleted
-    ext_ready = ext_theta > -np.inf and ext_collected >= threshold
 
     acc = np.zeros(n, dtype=np.float32)
     matched = np.zeros(n, dtype=bool)
@@ -563,34 +389,27 @@ def search_shard_maxscore(reader, compiled, k: int, *,
     stop_i = m
     keep_mask = None
     for i, (tid, scorer, tmax, _df) in enumerate(order):
-        if (i >= 1 and suffix[i] < suffix[0] - suffix[i]) or ext_ready:
-            # bound check: a ready external floor (cross-actor
-            # MaxScoreAccumulator) can even preempt the FIRST term — the
-            # global k-th already rules this shard's remaining mass out.
-            # The local k-th lower bound comes from a STRIDED SAMPLE of the
-            # accumulator (any subset's k-th largest underestimates the
-            # full k-th, so it is always a valid pruning bound) — the full
-            # gather+partition per term cost more than it saved on dense
-            # shards.
+        if i >= 1 and suffix[i] < suffix[0] - suffix[i]:
+            # bound check.  The k-th lower bound comes from a STRIDED SAMPLE
+            # of the accumulator (any subset's k-th largest underestimates
+            # the full k-th, so it is always a valid pruning bound) — the
+            # full gather+partition per term cost more than it saved on
+            # dense shards.
             lv = matched if live is None else (matched & live)
             collected = int(np.count_nonzero(lv))
-            if collected >= max(k, threshold) or ext_ready:
+            if collected >= max(k, threshold):
                 theta_cand = theta
-                if collected >= k:
-                    step = max(1, n >> 15)
-                    sample = acc if step == 1 else acc[::step]
-                    if live is not None:
-                        sample = np.where(live if step == 1 else live[::step],
-                                          sample, np.float32(0))
-                    if len(sample) >= k:
-                        kth = float(np.partition(sample, len(sample) - k)
-                                    [len(sample) - k])
-                        if kth > 0:
-                            theta_cand = max(theta_cand, kth * slack)
-                if ext_ready:
-                    theta_cand = max(theta_cand, float(ext_theta))
-                if theta_cand >= suffix[i] * infl and (collected >= threshold
-                                                       or ext_ready):
+                step = max(1, n >> 15)
+                sample = acc if step == 1 else acc[::step]
+                if live is not None:
+                    sample = np.where(live if step == 1 else live[::step],
+                                      sample, np.float32(0))
+                if len(sample) >= k:
+                    kth = float(np.partition(sample, len(sample) - k)
+                                [len(sample) - k])
+                    if kth > 0:
+                        theta_cand = max(theta_cand, kth * slack)
+                if theta_cand >= suffix[i] * infl:
                     # cost model: restriction only wins when the surviving
                     # candidate set is much smaller than the remaining
                     # postings mass — an all-hot disjunction keeps most
@@ -601,7 +420,6 @@ def search_shard_maxscore(reader, compiled, k: int, *,
                     rem_df = sum(t[3] for t in order[i:])
                     r32 = np.float32(suffix[i] * infl)
                     t32 = np.float32(theta_cand)
-                    step = max(1, n >> 15)
                     c_est = int(np.count_nonzero(
                         (acc if step == 1 else acc[::step]) + r32 >= t32)
                         ) * step
@@ -810,8 +628,10 @@ def search_shard_points(reader, query, boost: float, k: int, after=None):
         cand = np.unique(np.concatenate(parts))
     elif isinstance(query, LatLonDistanceQuery) or \
             type(query).__name__ == "Geo3DCircleQuery":
+        # Geo3D's WGS84 circles prune with an inflated radius
+        radius = getattr(query, "prune_radius_m", query.radius_m)
         min_lat, max_lat, min_lon, max_lon = circle_bbox(
-            query.lat, query.lon, query.radius_m)
+            query.lat, query.lon, radius)
         if int(encode_latitude(max_lat)) < smin[0] or \
                 int(encode_latitude(min_lat)) > smax[0]:
             return _empty()

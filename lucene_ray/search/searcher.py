@@ -35,8 +35,6 @@ from .scorer import (
     RELATION_EQ,
     RELATION_GTE,
     TOTAL_HITS_THRESHOLD,
-    BlockMaxWand,
-    _TermState,
     search_shard_exhaustive,
     search_shard_phrase,
 )
@@ -63,6 +61,13 @@ class TopDocs:
 
 
 class IndexSearcher:
+    """Single-process searcher over a committed index.
+
+    ``use_wand`` enables the one pruning route, MaxScore for dense pure
+    disjunctions.  With ``use_wand=False`` no pruning route runs: boolean
+    term queries always take the exhaustive reference, with exact totals
+    — the comparison baseline for tests and benchmark verification."""
+
     def __init__(self, index_dir: str, similarity: BM25Similarity | None = None,
                  use_wand: bool = True, query_cache=None,
                  soft_deletes_field: str | None = None):
@@ -1312,8 +1317,7 @@ class IndexSearcher:
         return td
 
     def search_shard(self, rdr, compiled, k, after=None,
-                     total_hits_threshold: int = TOTAL_HITS_THRESHOLD,
-                     ext_theta: float = float("-inf"), ext_collected: int = 0):
+                     total_hits_threshold: int = TOTAL_HITS_THRESHOLD):
         if compiled.get("match_all"):
             if rdr.deleted is not None:
                 live = np.nonzero(~rdr.deleted)[0].astype(np.int32)
@@ -1517,65 +1521,40 @@ class IndexSearcher:
 
             terms, scorer = compiled["synonym"]
             return search_shard_synonym(rdr, terms, scorer, k, after=after)
-        # single scoring term: block-max pruning cannot beat one vectorized
-        # full decode+score (measured 4-25x slower at EVERY density — the
-        # per-window Python bookkeeping dominates; the reference's
-        # ImpactsDISI skipping is profitable only with its compiled
-        # per-block loop), so route straight to the TAAT accumulator
-        wandable = (self.use_wand and len(compiled["scoring"]) >= 2
-                    and getattr(self.sim, "wand_safe", True)
-                    and not compiled["filters"]
-                    and not compiled.get("range_filters")
-                    and not compiled.get("range_must_nots")
-                    and not compiled["must_nots"]
-                    and (all(o == SHOULD for _, _, o in compiled["scoring"])
-                         or all(o == MUST for _, _, o in compiled["scoring"])))
-        dense_disjunction = False
-        if wandable:
-            # cost router (BooleanScorer-style heuristic): when the scoring
-            # terms cover a large fraction of the shard, block-max pruning
-            # cannot skip anything and per-window bookkeeping loses to the
-            # vectorized TAAT accumulator; keep WAND for selective queries.
-            local_df = 0
-            for term, _, _ in compiled["scoring"]:
-                tid = rdr.seek_exact(term)
-                if tid >= 0:
-                    local_df += int(rdr._df[tid])
-            if local_df > 0.15 * max(rdr.doc_count, 1):
-                wandable = False
-                dense_disjunction = all(
-                    o == SHOULD for _, _, o in compiled["scoring"])
-        if wandable:
-            conj = compiled["scoring"][0][2] == MUST
-            states = []
-            missing = False
-            for term, scorer, _ in compiled["scoring"]:
-                tid = rdr.seek_exact(term)
-                if tid < 0:
-                    missing = True
-                    continue
-                states.append(_TermState(rdr, tid, term, scorer, None))
-            if conj and missing:
-                return np.zeros(0, np.float32), np.zeros(0, np.int32), 0, RELATION_EQ
-            if not states:
-                return np.zeros(0, np.float32), np.zeros(0, np.int32), 0, RELATION_EQ
-            wand = BlockMaxWand(rdr, states, k, conjunctive=conj,
-                                threshold=total_hits_threshold,
-                                msm=compiled["msm"],
-                                ext_theta=ext_theta, ext_collected=ext_collected)
-            return wand.run(after=after)
-        if (dense_disjunction and compiled["msm"] <= 1 and after is None):
-            # hot-disjunction tail (round-5): impact-ordered TAAT with the
+        if self._dense_disjunction(rdr, compiled) and after is None:
+            # hot-disjunction tail: impact-ordered TAAT with the
             # MaxScoreBulkScorer essential/non-essential partition — skips
             # full decode of low-max hot terms once the k-th partial score
             # clears the remaining max mass; bit-identical to exhaustive
             # (clause-order pool rescore), GTE totals only when pruned
             from .scorer import search_shard_maxscore
 
-            return search_shard_maxscore(
-                rdr, compiled, k, threshold=total_hits_threshold,
-                ext_theta=ext_theta, ext_collected=ext_collected)
+            return search_shard_maxscore(rdr, compiled, k,
+                                         threshold=total_hits_threshold)
         return search_shard_exhaustive(rdr, compiled, k, after=after)
+
+    def _dense_disjunction(self, rdr, compiled) -> bool:
+        """Pruning-route test: a pure-SHOULD disjunction of >= 2 terms
+        (msm <= 1, no filters, exclusions or ranges) whose postings cover
+        more than 15% of the shard.  Selective disjunctions stay on the
+        exhaustive accumulator, whose few postings leave pruning nothing
+        to skip; a single term gains nothing over one vectorized decode."""
+        scoring = compiled["scoring"]
+        if not (self.use_wand and len(scoring) >= 2
+                and getattr(self.sim, "wand_safe", True)
+                and compiled["msm"] <= 1
+                and not compiled["filters"]
+                and not compiled.get("range_filters")
+                and not compiled.get("range_must_nots")
+                and not compiled["must_nots"]
+                and all(o == SHOULD for _, _, o in scoring)):
+            return False
+        local_df = 0
+        for term, _, _ in scoring:
+            tid = rdr.seek_exact(term)
+            if tid >= 0:
+                local_df += int(rdr._df[tid])
+        return local_df > 0.15 * max(rdr.doc_count, 1)
 
     def _knn_shard(self, rdr, spec, after=None):
         """Per-shard k-NN (the per-leaf half of KnnFloatVectorQuery.rewrite):

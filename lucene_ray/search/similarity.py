@@ -76,7 +76,7 @@ class BM25Scorer:
 # ---------------------------------------------------------------------------
 # alternative similarity models (§2.9 widening): pluggable via
 # IndexSearcher(similarity=...); every scorer exposes the same
-# score(freqs, norm_bytes) surface, so all query paths (TAAT, WAND with
+# score(freqs, norm_bytes) surface, so all query paths (TAAT, MaxScore with
 # skyline-pair block maxes, phrases, dismax, ...) work unchanged.
 # ---------------------------------------------------------------------------
 
@@ -278,7 +278,7 @@ class IndriDirichletSimilarity:
     missing-clause contribution."""
 
     # scores are negative log-probabilities: block-max pruning against a
-    # zero-initialized floor would prune everything, so WAND is disabled
+    # zero-initialized floor would prune everything, so MaxScore is disabled
     wand_safe = False
 
     def __init__(self, mu: float = 2000.0):
@@ -332,7 +332,7 @@ class LMJelinekMercerSimilarity:
 # scorer below vectorizes that contract: score(freqs, norm_bytes) evaluates
 # the whole posting block in one float64 numpy expression.  All models are
 # non-decreasing in freq at fixed norm, so the skyline-pair block maxes used
-# by BlockMaxWand remain valid upper bounds.
+# by MaxScore pruning remain valid upper bounds.
 
 _LOG2 = np.log(2.0)
 _DL_TABLE = np.maximum(LENGTH_TABLE.astype(np.float64), 1.0)
@@ -575,7 +575,7 @@ class AxiomaticSimilarity:
       EXP: idf = ((N+1)/df)^k          LOG: idf = log((N+1)/df)
 
     All variants are non-decreasing in freq at fixed docLen (gamma is
-    freq-independent), so BlockMaxWand skyline bounds stay valid."""
+    freq-independent), so MaxScore skyline bounds stay valid."""
 
     def __init__(self, variant: str = "F2EXP", s: float = 0.25,
                  query_len: int = 1, k: float = 0.35):
@@ -639,7 +639,7 @@ class MultiSimilarity:
     """Sum of several similarities' scores
     (`search/similarities/MultiSimilarity.java`: MultiSimScorer.score =
     float32 running sum of the sub-scorers).  All wrapped models here are
-    non-decreasing in freq, so the sum is too — WAND block maxes stay
+    non-decreasing in freq, so the sum is too — MaxScore block maxes stay
     valid upper bounds."""
 
     def __init__(self, sims):

@@ -42,41 +42,32 @@ def test_actor_pool_matches_local(index):
     svc.shutdown()
 
 
-def test_theta_sharing_results_unchanged(ray_session, tmp_path_factory):
-    """Cross-actor min-competitive sharing (MaxScoreAccumulator analogue):
-    with a low totalHitsThreshold (pruning engaged), top-k stays identical
-    to the local searcher; only total_hits may become a GTE lower bound."""
+def test_pool_pruning_thresholds_match_local(ray_session, tmp_path_factory):
+    """With a low totalHitsThreshold (MaxScore pruning engaged on the dense
+    disjunction), the pool's top-k stays identical to the local searcher's
+    exact run; only total_hits may become a GTE lower bound."""
     import ray.data as rd
 
     from lucene_ray.search.actors import QueryService
 
-    d = str(tmp_path_factory.mktemp("thetaidx"))
+    d = str(tmp_path_factory.mktemp("pruneidx"))
     build_index(rd.from_arrow(synth_transcripts(40000, seed=13)), d,
-                target_docs_per_partition=3000, input_desc="theta")
+                target_docs_per_partition=3000, input_desc="prune")
     local = IndexSearcher(d)
     queries = [
         bool_query(should=["the", "data", "query"]),     # hot disjunction
         bool_query(should=["merge", "join", "scan", "sort"]),
         TermQuery("table"),
     ]
-    # run the two services sequentially — the 4-CPU test session cannot host
-    # both actor pools at once
-    results = {}
-    for share in (True, False):
-        svc = QueryService(d, num_actors=3, share_theta=share,
-                           num_cpus_per_actor=1)
-        if share:
-            assert svc.board is not None
-        for qi, q in enumerate(queries):
-            for threshold in (50, 1000):
-                results[(share, qi, threshold)] = svc.search(q, k=10,
-                                                             threshold=threshold)
-        svc.shutdown()
+    svc = QueryService(d, num_actors=3, num_cpus_per_actor=1)
+    results = {(qi, threshold): svc.search(q, k=10, threshold=threshold)
+               for qi, q in enumerate(queries) for threshold in (50, 1000)}
+    svc.shutdown()
     for qi, q in enumerate(queries):
         c = local.search(q, k=10, total_hits_threshold=2**31 - 1)
         for threshold in (50, 1000):
-            a = results[(True, qi, threshold)]
-            b = results[(False, qi, threshold)]
+            a = results[(qi, threshold)]
+            b = local.search(q, k=10, total_hits_threshold=threshold)
             assert [(h.gid, round(h.score, 5)) for h in a.hits] == \
                    [(h.gid, round(h.score, 5)) for h in c.hits]
             assert [h.gid for h in a.hits] == [h.gid for h in b.hits]

@@ -22,8 +22,6 @@ from lucene_ray.index.postings import (
 from lucene_ray.index.shard import ShardReader, write_shard
 from lucene_ray.search.query import SHOULD, TermQuery, bool_query
 from lucene_ray.search.scorer import (
-    BlockMaxWand,
-    _TermState,
     search_shard_exhaustive,
     search_shard_phrase,
 )
@@ -151,33 +149,6 @@ def test_search_after_total_hits_stable(page_shard):
     s2, d2, t2, _ = search_shard_exhaustive(rdr, compiled, 10, after=after)
     assert t2 == t1            # page 2 reports the same total as page 1
     assert len(set(d1.tolist()) & set(d2.tolist())) == 0
-
-
-def test_wand_after_total_matches_exhaustive(page_shard):
-    rdr, m = page_shard
-    sim = BM25Similarity()
-    terms = ["apple", "banana"]
-    compiled = {"scoring": [(t, sim.scorer(1.0, m["doc_count_field"], m["sum_ttf"],
-                                           rdr.term_stats(rdr.seek_exact(t))[0]), SHOULD)
-                            for t in terms],
-                "filters": [], "must_nots": [], "msm": 0, "n_required": 0}
-    es, ed, etotal, _ = search_shard_exhaustive(rdr, compiled, 10)
-    after = (float(es[-1]), int(ed[-1]))
-
-    def states():
-        out = []
-        for t in terms:
-            tid = rdr.seek_exact(t)
-            df = rdr.term_stats(tid)[0]
-            out.append(_TermState(rdr, tid, t, sim.scorer(1.0, m["doc_count_field"],
-                                                          m["sum_ttf"], df), None))
-        return out
-
-    wand = BlockMaxWand(rdr, states(), 10, threshold=2**31 - 1)
-    ws, wd, wtotal, rel = wand.run(after=after)
-    assert wtotal == etotal     # unpruned WAND counts every match despite after
-    es2, ed2, _, _ = search_shard_exhaustive(rdr, compiled, 10, after=after)
-    np.testing.assert_array_equal(wd, ed2)
 
 
 def test_prefix_range_supplementary():

@@ -105,3 +105,46 @@ def test_wgs84_circle_query_diverges_from_sphere(ray_session):
             total += int(((d <= r) & live).sum())
         assert n == total
         assert n > 0
+
+
+def test_wgs84_circle_shard_prune_uses_inflated_radius(ray_session,
+                                                       tmp_path):
+    """A shard whose points all lie just outside the spherical bbox of the
+    circle (north of it along the meridian, where WGS84 geodesics are
+    shorter than the sphere's) but inside the geodesic radius must not be
+    skipped by the shard-level bbox prune."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from lucene_ray.index.build import build_index
+    from lucene_ray.search.geo import (
+        circle_bbox,
+        decode_latitude,
+        decode_longitude,
+        encode_latitude,
+        encode_longitude,
+    )
+    from lucene_ray.search.geo3d import Geo3DCircleQuery
+    from lucene_ray.search.searcher import IndexSearcher
+    from lucene_ray.sources.transcripts import synth_transcripts
+
+    radius = 1_000_000.0
+    n = 200
+    lat = np.linspace(9.0, 9.06, n)               # spherical bbox ends ~8.99
+    lon = np.linspace(-0.01, 0.01, n)
+    assert lat.min() > circle_bbox(0.0, 0.0, radius)[1]
+    t = synth_transcripts(n, seed=3).sort_by(
+        [("conv_id", "ascending"), ("turn_idx", "ascending")])
+    lat_e, lon_e = encode_latitude(lat), encode_longitude(lon)
+    t = t.append_column("lat_e", pa.array(lat_e, type=pa.int64()))
+    t = t.append_column("lon_e", pa.array(lon_e, type=pa.int64()))
+    d = str(tmp_path / "edge")
+    build_index(rd.from_arrow(t), d, target_docs_per_partition=n,
+                point_cols={"loc": ("lat_e", "lon_e")}, input_desc="geoedge")
+    want = int(np.count_nonzero(andoyer_wgs84_meters(
+        decode_latitude(lat_e), decode_longitude(lon_e), 0.0, 0.0) <= radius))
+    assert 0 < want < n
+    s = IndexSearcher(d)
+    assert s.count(Geo3DCircleQuery("loc", 0.0, 0.0, radius,
+                                    planet="wgs84")) == want
+    assert s.count(Geo3DCircleQuery("loc", 0.0, 0.0, radius)) == 0

@@ -556,3 +556,19 @@ def test_dutch_ij():
     assert d.unique_stems("IJs") == ["ijs"]
     assert d.spell("ijs") and d.spell("IJs")
     assert not d.spell("Ijs")
+
+
+def test_break_entries_before_count_line(tmp_path):
+    """BREAK entries that precede the count line (or have none) still form
+    an explicit table instead of failing the dictionary load."""
+    from lucene_ray.analysis.hunspell import load_dictionary
+
+    aff = tmp_path / "early_break.aff"
+    dic = tmp_path / "early_break.dic"
+    aff.write_text("SET UTF-8\nWORDCHARS -\nBREAK -\nBREAK 1\n",
+                   encoding="utf-8")
+    dic.write_text("2\nfoo\nbar\n", encoding="utf-8")
+    d = load_dictionary(str(aff), str(dic))
+    assert d.break_table == ["-"]
+    assert d.spell("foo-bar")
+    assert not d.spell("foo-")      # the default ^-/-$ trims are replaced

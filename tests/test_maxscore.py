@@ -163,20 +163,6 @@ def test_maxscore_fuzz_parity(mixed_shard):
             assert mtotal == etotal, (terms, k, thr)
 
 
-def test_maxscore_ext_theta_prunes_and_stays_exact(mixed_shard):
-    """Cross-actor floor sharing: a high external theta prunes (GTE) but
-    never changes the returned top-k."""
-    rdr, m = mixed_shard
-    compiled = _compiled(rdr, m, ["rareone", "hotone"])
-    es, ed, _, _ = search_shard_exhaustive(rdr, compiled, 10)
-    # a floor just below this shard's k-th score: valid global bound
-    floor = float(es[-1]) * 0.999
-    ms, md, _, _ = search_shard_maxscore(rdr, compiled, 10, threshold=1000,
-                                         ext_theta=floor, ext_collected=5000)
-    assert np.array_equal(ed, md)
-    assert np.array_equal(es, ms)
-
-
 def test_msm_lead_matches_bruteforce(mixed_shard):
     """minimumShouldMatch lead path (uint8 count scatter + candidate
     scoring) vs an independent dense recount — docs, float32 scores and
