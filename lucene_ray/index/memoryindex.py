@@ -354,7 +354,7 @@ class MemoryIndex:
         from the doc's own terms, FuzzyTermsEnum boosts, top
         max_expansions by (boost desc, term asc), SHOULD-sum of per-variant
         scorers (every present term has df == max df == 1 here)."""
-        from ..search.searcher import _edit_distance, _levenshtein_leq
+        from ..search.searcher import _edit_distance
 
         base = query.term
         pre = base[:query.prefix_length]
@@ -365,9 +365,9 @@ class MemoryIndex:
                 continue
             if pre and not t.startswith(pre):
                 continue
-            if not _levenshtein_leq(base, t, query.max_edits, trans):
-                continue
             ed = _edit_distance(t, base, trans)
+            if ed > query.max_edits:
+                continue
             b = 1.0 if ed == 0 else 1.0 - ed / min(len(t), len(base))
             scored.append((b, t))
         if not scored:

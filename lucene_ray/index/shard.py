@@ -29,6 +29,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..analysis.standard import tokenize_column
+from ..util.levenshtein import TermCodes
 from ..util.smallfloat import int_to_byte4
 from .postings import (
     BLOCK_SIZE,
@@ -997,6 +998,15 @@ class ShardReader:
     @property
     def n_terms(self) -> int:
         return len(self._df)
+
+    def term_codes(self):
+        """The dictionary's length-bucketed code-point encoding for fuzzy
+        expansion (`util/levenshtein.TermCodes`), built on first use so
+        non-fuzzy traffic never pays for it."""
+        tc = getattr(self, "_term_codes", None)
+        if tc is None:
+            tc = self._term_codes = TermCodes(self._term_np)
+        return tc
 
     def seek_exact(self, term: str) -> int:
         """Sorted-term binary search (block-tree seekExact equivalent,

@@ -21,6 +21,7 @@ import numpy as np
 
 from ..index.manifest import latest_commit, shard_dirname
 from ..index.shard import ShardReader
+from ..util.levenshtein import MAX_PATTERN, TermCodes
 from .query import (
     FILTER,
     MUST,
@@ -431,7 +432,7 @@ class IndexSearcher:
                 pre = f"{query.field}{KEYWORD_SEP}"
                 return [t for t in terms[lo_i:hi_i] if t.startswith(pre)]
             return [t for t in terms[lo_i:hi_i] if KEYWORD_SEP not in t]
-        return _expand_terms(terms, query)
+        return _expand_terms(terms, query, rdr.term_codes)
 
     def reader(self, pid: int) -> ShardReader:
         r = self._readers.get(pid)
@@ -2314,12 +2315,14 @@ def _edit_distance(a: str, b: str, transpositions: bool = False) -> int:
     return prev[lb]
 
 
-def _expand_terms(terms: np.ndarray, query) -> list[str]:
+def _expand_terms(terms: np.ndarray, query, term_codes=None) -> list[str]:
     """MultiTermQuery intersection with ONE sorted term array — the
     CompiledAutomaton-vs-TermsEnum core shared by the postings dictionary
     (`_expand_shard_uncached`) and DocValuesRewriteMethod's per-shard
     SortedSet dv vocab (`search/DocValuesRewriteMethod.java` visits the dv
-    TermsEnum with the same automaton)."""
+    TermsEnum with the same automaton).  ``term_codes`` returns the
+    array's cached `TermCodes` for fuzzy expansion; without it the array
+    is encoded on the fly."""
     import re as _re
 
     from .query import (
@@ -2374,22 +2377,24 @@ def _expand_terms(terms: np.ndarray, query) -> list[str]:
         pre = base[:query.prefix_length]
         trans = getattr(query, "transpositions", False)
         lo, hi = _prefix_range(terms, pre) if pre else (0, len(terms))
-        out = []
-        for t in terms[lo:hi]:
-            if abs(len(t) - len(base)) > query.max_edits:
-                continue
-            if _levenshtein_leq(t, base, query.max_edits, trans):
-                out.append(t)
-        return out
+        if len(base) <= MAX_PATTERN:
+            codes = term_codes() if term_codes else TermCodes(terms)
+            rows = codes.within(base, query.max_edits, trans, lo, hi)
+            return terms[rows].tolist()
+        # too long for one 64-bit word: per-term banded scan
+        return [t for t in terms[lo:hi]
+                if abs(len(t) - len(base)) <= query.max_edits
+                and _levenshtein_leq(t, base, query.max_edits, trans)]
     raise TypeError(type(query))
 
 
 def _levenshtein_leq(a: str, b: str, k: int,
                      transpositions: bool = False) -> bool:
-    """Banded edit distance <= k (the dictionary-scan stand-in for the
-    reference's Levenshtein automata, `util/automaton/LevenshteinAutomata`).
-    With ``transpositions`` an adjacent swap counts as ONE edit (the
-    automata's withTranspositions=true / FuzzyQuery default)."""
+    """Banded edit distance <= k, one term pair at a time: the fuzzy scan
+    for query terms too long for `util/levenshtein.TermCodes`, and the
+    oracle that kernel is tested against.  With ``transpositions`` an
+    adjacent swap counts as ONE edit (the automata's
+    withTranspositions=true / FuzzyQuery default)."""
     la, lb = len(a), len(b)
     if abs(la - lb) > k:
         return False
@@ -2745,14 +2750,9 @@ def spell_correct(searcher: "IndexSearcher", term: str, max_edits: int = 2,
                         key=lambda x: (-distance(term, x[0]), -x[1], x[0]))
         return ranked[:k]
 
-    def dist(t: str) -> int:
-        # LuceneLevenshteinDistance: transpositions count one edit
-        for d in range(max_edits + 1):
-            if _levenshtein_leq(t, term, d, True):
-                return d
-        return max_edits
-
-    ranked = sorted(cands.items(), key=lambda x: (dist(x[0]), -x[1], x[0]))
+    # LuceneLevenshteinDistance: transpositions count one edit
+    ranked = sorted(cands.items(), key=lambda x: (
+        _edit_distance(x[0], term, True), -x[1], x[0]))
     return ranked[:k]
 
 
@@ -2776,9 +2776,9 @@ def direct_spell_suggest(searcher: "IndexSearcher", term: str,
     at the query's own df), two-pass candidate draw (ed=1 first, widened
     to maxEdits only when numSug*maxInspections not yet filled) with
     prefix = max(minPrefix, editDistance-1), default score =
-    1 - d/min(len) (the INTERNAL_LEVENSHTEIN scaling; this engine's
-    dictionary scan uses plain Levenshtein without transpositions — the
-    same documented choice as FuzzyQuery expansion), accuracy cutoff, and
+    1 - d/min(len) (the INTERNAL_LEVENSHTEIN scaling; the dictionary draw
+    and the distance both count an adjacent transposition as one edit, as
+    FuzzyQuery expansion does by default), accuracy cutoff, and
     the SuggestWord comparator order (``score`` or ``frequency``).
     Returns [(word, score, freq)]."""
     from .query import FuzzyQuery
@@ -2819,8 +2819,7 @@ def direct_spell_suggest(searcher: "IndexSearcher", term: str,
                 if distance is None:
                     # INTERNAL_LEVENSHTEIN (LuceneLevenshteinDistance):
                     # adjacent transpositions count one edit
-                    d = next(d for d in range(edit_distance + 1)
-                             if _levenshtein_leq(t, text, d, True))
+                    d = _edit_distance(t, text, True)
                     score = 1.0 - d / min(len(t), len(text))
                 else:
                     score = distance(text, t)

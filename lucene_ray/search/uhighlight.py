@@ -429,13 +429,6 @@ class FieldHighlighter:
         return out
 
 
-def _levenshtein_leq(a: str, b: str, k: int,
-                     transpositions: bool = False) -> bool:
-    from .searcher import _levenshtein_leq as _impl
-
-    return _impl(a, b, k, transpositions)
-
-
 def extract_highlight_terms(query):
     """Walk a query tree to (terms set, [(label, predicate)]) for
     highlighting (`UnifiedHighlighter.extractTerms` + the automata of
@@ -456,6 +449,7 @@ def extract_highlight_terms(query):
         TermQuery,
         WildcardQuery,
     )
+    from .searcher import _levenshtein_leq
 
     terms: set[str] = set()
     matchers: list[tuple[str, object]] = []
