@@ -3,7 +3,8 @@
 Re-created from scratch with the query capabilities of Apache Lucene core
 (reference: /root/reference, Apache Lucene 10.0.0 snapshot), architected as
 idiomatic Ray Data: `map_batches` over zero-copy Arrow batches for analysis
-and inversion, a salted `groupby`-on-term shuffle for statistics merge,
+and inversion, one raw-task partition exchange that writes the shards and
+merges the global term statistics hash-by-term,
 per-partition lineage manifests for resumable builds, and stateful actor
 pools holding memory-mapped posting shards for query serving.
 

@@ -1,14 +1,15 @@
 """Distributed index build — the Ray-Data re-expression of the Lucene write
 path (`index/DocumentsWriter.java` DWPT flush → `SegmentInfos` publish):
 
-    read_parquet(transcripts)
-      → seeded conv_id sample                    (tiny planning pass)
+    read_parquet(transcripts) → materialized block refs (one execution)
+      → seeded conv_id sample per block           (tiny planning tasks)
       → [driver] quantile range boundaries       (P-1 split points only)
-      → tag pid per row                          (map_batches, searchsorted)
-      → filter already-committed pids            (resume from lineage)
-      → groupby(pid).map_groups(write_shard)     (THE shuffle: one task = one
-                                                  DWPT-equivalent flush)
-      → commit segments_N (assigns doc bases) + salted term-stats merge
+      → _exchange: map tasks tag each row's pid (searchsorted), drop
+        already-committed pids (resume), split into contiguous pid ranges;
+        one reduce task per range writes its shards (one shard write = one
+        DWPT-equivalent flush)
+      → commit segments_N (assigns doc bases)
+      → merge_term_stats: the same _exchange keyed by term bucket
 
 Partitioning: conv_id range buckets (ONE partitioning key reused across
 stages); every partition owns a contiguous (conv_id, turn_idx) range, and
@@ -21,6 +22,7 @@ the data.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 import time
@@ -34,9 +36,38 @@ from .shard import write_shard
 FORMAT_VERSION = 4
 STATS_BUCKETS = 64     # hash-partitions of the merged term-stats store
 
+# above this many partitions a flush reduce task owns a contiguous range of
+# pids instead of one: a map task's return-object count is the range count
+# R = max(√P, 2×CPUs), not P, so total exchange objects stay
+# O(map_tasks × √P + P) instead of O(map_tasks × P), and per-range work
+# shrinks as the pool grows; at 10^12 turns / 5M partitions this keeps the
+# object count in the tens of millions instead of tens of billions
+# (NOTES.md round-3)
+TWO_LEVEL_PARTS = 384
+
+_KEY = "__exchange_key"
+
+
+def _n_cpus() -> int:
+    import ray
+
+    return int(ray.cluster_resources().get("CPU", 8))
+
+
+def _block_refs(ds) -> tuple[list, int]:
+    """Materialize ``ds`` once: its non-empty block refs and their row total
+    (from block metadata — a separate ds.count() would re-execute any
+    map_batches transforms feeding the build)."""
+    pairs = [(br, meta.num_rows)
+             for bundle in ds.iter_internal_ref_bundles()
+             for br, meta in zip(bundle.block_refs, bundle.metadata)
+             if meta.num_rows]                # drop empty sentinel blocks
+    return [br for br, _ in pairs], sum(n for _, n in pairs)
+
 
 def plan_split_points(ds, n_parts: int, key: str, sample_per_part: int = 256) -> list[str]:
-    """Range boundaries from a seeded conv_id sample (quantile split).
+    """Range boundaries from a seeded conv_id sample (quantile split) —
+    the planner the build runs, over ``ds``'s ``key`` column blocks.
 
     Exact per-partition doc counts are NOT needed at planning time: global
     doc bases are assigned at commit as the prefix sum of shard doc_counts
@@ -47,213 +78,8 @@ def plan_split_points(ds, n_parts: int, key: str, sample_per_part: int = 256) ->
     """
     if n_parts <= 1:
         return []
-    n_total = ds.count()
-    frac = min(1.0, (sample_per_part * n_parts) / max(n_total, 1))
-
-    def sample_batch(b: pa.Table) -> pa.Table:
-        # deterministic per-batch sample (seeded by the batch's first key) in
-        # ONE pass over the key column — no separate random_sample execution
-        n = len(b)
-        take = max(1, int(round(n * frac)))
-        if take >= n:
-            return b
-        from ..util.hashing import fnv1a64_str
-
-        seed = fnv1a64_str(str(b.column(key)[0].as_py())) & 0x7FFFFFFF
-        idx = np.random.default_rng((42, seed, n)).choice(n, size=take, replace=False)
-        return b.take(pa.array(np.sort(idx)))
-
-    sample = (ds.select_columns([key])
-              .map_batches(sample_batch, batch_format="pyarrow")
-              .take_all())
-    cids = np.sort(np.array([r[key] for r in sample], dtype=object))
-    if len(cids) == 0:
-        return []
-    q = (np.arange(1, n_parts) * len(cids)) // n_parts
-    return np.unique(cids[q]).tolist()
-
-
-def build_index(ds, index_dir: str, *, target_docs_per_partition: int = 200_000,
-                text_col: str = "text", key_cols: tuple[str, str] = ("conv_id", "turn_idx"),
-                keyword_cols: tuple[str, ...] = (),
-                docvalue_cols: tuple[str, ...] = (),
-                token_filters: tuple[str, ...] = (),
-                vector_col: str | None = None,
-                term_vectors: bool = False,
-                point_cols: dict | None = None,
-                shape_cols: dict | None = None,
-                bloom_fields: tuple = (),
-                id_version_fields: tuple = (),
-                bp_reorder: bool = False,
-                index_sort: tuple = (),
-                input_desc: str = "", merge_stats: bool = True,
-                exchange: str = "tasks") -> dict:
-    """Build (or resume) an index from a transcripts Dataset; returns commit.
-
-    ``ds`` must contain key_cols + text_col.  Ray must already be
-    initialized by the caller.
-
-    exchange:
-      - "tasks" (default): explicit two-stage partition exchange with raw Ray
-        tasks — each input block is split into per-pid sub-tables (P-way
-        dynamic returns), each partition's flush task gathers exactly its
-        slices and writes the shard.  Chosen because Ray Data's sort-based
-        groupby serializes on the sort barrier for this workload; the manual
-        exchange moves the same bytes with no sort and full reduce
-        parallelism (this IS the explicit partitioning/shuffle the design
-        calls for).
-      - "groupby": `groupby(pid).map_groups(flush)` via Ray Data (kept for
-        comparison and as the multi-node spill-friendly fallback).
-    """
-    import ray.data
-
-    prof = os.environ.get("LUCENE_RAY_PROFILE")
-    t_start = time.perf_counter()
-
-    def _mark(name):
-        if prof:
-            print(f"[build-prof] {name}: {time.perf_counter() - t_start:.2f}s",
-                  file=sys.stderr)
-
-    os.makedirs(os.path.join(index_dir, "shards"), exist_ok=True)
-
-    # fast path: a commit with this input already exists and is intact
-    prev = mf.latest_commit(index_dir)
-    if prev is not None and input_desc and prev.get("input_desc") == input_desc \
-            and prev.get("format") == FORMAT_VERSION:
-        have = mf.committed_shards(index_dir, prev["fingerprint"])
-        if set(have) == {m["pid"] for m in prev["shards"]}:
-            return prev
-
-    # ---- planning pass: sampled range boundaries over the partition key.
-    # tasks path: materialize the projected block refs ONCE and sample them
-    # with tiny ray tasks — the same refs then feed the exchange, so the
-    # corpus is read exactly once instead of once for planning and once for
-    # the exchange ----
-    extra_dv = [c for c in docvalue_cols if c not in key_cols]
-    # "col:int8" (scalar-quantized store) still reads the plain column
-    extra_vec = [vector_col.split(":")[0]] if vector_col else []
-    extra_pt = [c for cols in (point_cols or {}).values() for c in cols
-                if c not in key_cols and c not in docvalue_cols
-                and c not in keyword_cols and c != text_col]
-    extra_shp = [c for cols in (shape_cols or {}).values()
-                 for c in cols[-2:]          # leading entries are markers
-                 if c not in key_cols and c != text_col]
-    proj = ds.select_columns([*key_cols, text_col, *keyword_cols, *extra_dv,
-                              *extra_vec, *extra_pt, *extra_shp])
-    block_refs = None
-    if exchange == "tasks":
-        pairs = [(br, meta.num_rows)
-                 for bundle in proj.iter_internal_ref_bundles()
-                 for br, meta in zip(bundle.block_refs, bundle.metadata)
-                 if meta.num_rows]            # drop empty sentinel blocks
-        block_refs = [br for br, _ in pairs]
-        # row count from the materialized block metadata — the input
-        # pipeline executes exactly ONCE (a separate ds.count() would
-        # re-execute any map_batches transforms feeding the build)
-        n_total = sum(n for _, n in pairs)
-        n_parts = max(1, -(-n_total // target_docs_per_partition))
-        split_points = _plan_from_blocks(block_refs, n_parts, key_cols[0])
-    else:
-        n_total = ds.count()
-        n_parts = max(1, -(-n_total // target_docs_per_partition))
-        split_points = plan_split_points(ds, n_parts, key_cols[0])
-
-    fp = mf.fingerprint({
-        "input": input_desc,
-        "splits": split_points,
-        "format": FORMAT_VERSION,
-        "text_col": text_col,
-        "key_cols": list(key_cols),
-        "keyword_cols": list(keyword_cols),
-        "docvalue_cols": list(docvalue_cols),
-        "token_filters": list(token_filters),
-        "vector_col": vector_col,
-        "term_vectors": bool(term_vectors),
-        "point_cols": {k: list(v) for k, v in (point_cols or {}).items()},
-        "shape_cols": {k: list(v) for k, v in (shape_cols or {}).items()},
-        **({"bloom_fields": list(bloom_fields)} if bloom_fields else {}),
-        **({"id_version_fields": list(id_version_fields)}
-           if id_version_fields else {}),
-        **({"bp_reorder": True} if bp_reorder else {}),
-        **({"index_sort": [list(x) for x in index_sort]} if index_sort else {}),
-    })
-
-    done = mf.committed_shards(index_dir, fp)
-    todo = [p for p in range(len(split_points) + 1) if p not in done]
-    _mark("plan")
-
-    if todo:
-        splits_arr = np.array(split_points, dtype=object)
-        shards_dir = os.path.join(index_dir, "shards")
-        done_set = frozenset(done)
-
-        def tag_pid(batch: pa.Table) -> pa.Table:
-            cids = batch.column(key_cols[0]).to_numpy(zero_copy_only=False)
-            pid = np.searchsorted(splits_arr, cids, side="right").astype(np.int32)
-            batch = batch.append_column("pid", pa.array(pid, type=pa.int32()))
-            if done_set:
-                keep = pa.compute.invert(pa.compute.is_in(
-                    batch.column("pid"), value_set=pa.array(sorted(done_set), type=pa.int32())))
-                batch = batch.filter(keep)
-            return batch
-
-        def flush_partition(group: pa.Table) -> pa.Table:
-            pid = int(group.column("pid")[0].as_py())
-            m = write_shard(shards_dir, pid, group.drop_columns(["pid"]),
-                            fp, text_col=text_col, key_cols=key_cols,
-                            keyword_cols=keyword_cols, docvalue_cols=docvalue_cols,
-                            token_filters=token_filters, vector_col=vector_col,
-                            term_vectors=term_vectors, point_cols=point_cols,
-                            shape_cols=shape_cols, bloom_fields=bloom_fields,
-                            id_version_fields=id_version_fields,
-                bp_reorder=bp_reorder,
-                index_sort=index_sort)
-            return pa.table({k: [v] for k, v in m.items()})
-
-        if exchange == "tasks":
-            new_manifests = _exchange_with_tasks(
-                block_refs, tag_pid, len(split_points) + 1, shards_dir, fp,
-                text_col, key_cols, keyword_cols, docvalue_cols, token_filters,
-                vector_col, term_vectors, point_cols, shape_cols,
-                bloom_fields=bloom_fields,
-                id_version_fields=id_version_fields,
-                bp_reorder=bp_reorder,
-                index_sort=index_sort)
-        else:
-            new_manifests = (
-                proj.map_batches(tag_pid, batch_format="pyarrow")
-                .groupby("pid")
-                .map_groups(flush_partition, batch_format="pyarrow")
-            ).take_all()
-        for m in new_manifests:
-            done[int(m["pid"])] = dict(m)
-    _mark("exchange+flush")
-
-    commit = mf.commit_index(index_dir, list(done.values()), {
-        "fingerprint": fp,
-        "input_desc": input_desc,
-        "split_points": split_points,
-        "key_cols": list(key_cols),
-        "keyword_cols": list(keyword_cols),
-        "docvalue_cols": list(docvalue_cols),
-        "token_filters": list(token_filters),
-        "vector_col": vector_col,
-        "term_vectors": bool(term_vectors),
-        "point_cols": {k: list(v) for k, v in (point_cols or {}).items()},
-        "shape_cols": {k: list(v) for k, v in (shape_cols or {}).items()},
-        "bloom_fields": list(bloom_fields),
-        "id_version_fields": list(id_version_fields),
-        "bp_reorder": bool(bp_reorder),
-        "index_sort": [list(x) for x in index_sort],
-        "text_col": text_col,
-        "format": FORMAT_VERSION,
-    })
-
-    if merge_stats:
-        merge_term_stats(index_dir, commit)
-    _mark("stats-merge")
-    return commit
+    refs, _ = _block_refs(ds.select_columns([key]))
+    return _plan_from_blocks(refs, n_parts, key, sample_per_part)
 
 
 def _plan_from_blocks(block_refs, n_parts: int, key: str,
@@ -293,273 +119,269 @@ def _plan_from_blocks(block_refs, n_parts: int, key: str,
     return np.unique(cids[q]).tolist()
 
 
-# above this many partitions the exchange goes two-level: a split task's
-# return-object count is the coarse-bucket count C (~sqrt(P) scaled to the
-# pool), not P, so total exchange objects stay O(split_tasks x sqrt(P) + P)
-# instead of O(split_tasks x P)
-TWO_LEVEL_PARTS = 384
+def _compact(tbl: pa.Table) -> pa.Table:
+    # CRITICAL: pickling a sliced Arrow table serializes the WHOLE parent
+    # buffer (R-fold write amplification through the object store);
+    # concat_arrays on the sliced chunks copies just the slice
+    return pa.table({name: pa.concat_arrays([c for c in tbl.column(name).chunks])
+                     for name in tbl.column_names})
 
 
-def _exchange_with_tasks(block_refs, tag_pid, n_parts: int, shards_dir: str, fp: str,
-                         text_col: str, key_cols, keyword_cols=(),
-                         docvalue_cols=(), token_filters=(),
-                         vector_col=None, term_vectors=False,
-                         point_cols=None, shape_cols=None,
-                         bloom_fields=(), id_version_fields=(),
-                         bp_reorder=False, index_sort=()) -> list[dict]:
-    """Explicit map/reduce partition exchange (raw Ray tasks).
+def _exchange(inputs, tag, n_keys: int, n_reducers: int, reduce_one) -> list:
+    """Explicit map/reduce hash exchange over raw Ray tasks — the build's
+    only shuffle (shard flush and term-stats merge).
 
-    Map side: one task per input block tags pids and splits the block into P
-    per-partition sub-tables (dynamic P-way returns, so each reduce task
-    fetches exactly its own slices from the object store — same byte volume
-    as a shuffle, no sort).  Reduce side: one flush task per partition
-    concatenates its slices in any order (write_shard re-sorts by
-    (conv_id, turn_idx)) and writes the shard.  Empty partitions produce no
-    shard.  Failure handling: tasks are retried by Ray; write_shard is
-    idempotent (tmp dir + rename keyed by pid + fingerprint).
+    Map side: one task per group of inputs calls ``tag(input) -> (table,
+    keys)`` (int keys in ``[0, n_keys)``) and splits the rows into R
+    contiguous key ranges (R-way returns, so each reduce task fetches
+    exactly its own slices from the object store — a shuffle's byte volume,
+    no global sort).  Reduce side: one task per range orders its rows by
+    key (stable, so a key's rows keep map-task order) and calls
+    ``reduce_one(key, table)`` for each non-empty key; the results come
+    back as one flat list.  R is ``n_reducers`` capped at ``n_keys``.
+    Failure handling: tasks are retried by Ray, so ``reduce_one`` must be
+    idempotent (write_shard's tmp dir + rename keyed by pid + fingerprint,
+    a bucket file overwritten whole).
     """
     import ray
 
-    if n_parts > TWO_LEVEL_PARTS:
-        return _exchange_two_level(block_refs, tag_pid, n_parts, shards_dir, fp,
-                                   text_col, key_cols, keyword_cols,
-                                   docvalue_cols, token_filters, vector_col,
-                                   term_vectors, point_cols, shape_cols,
-                                   bloom_fields=bloom_fields,
-                                   id_version_fields=id_version_fields,
-                bp_reorder=bp_reorder,
-                index_sort=index_sort)
+    n_cpus = _n_cpus()
+    step = -(-n_keys // min(n_reducers, n_keys))    # keys per range
+    R = -(-n_keys // step)                       # tighten after rounding
 
-    def _compact(tbl: pa.Table) -> pa.Table:
-        # CRITICAL: pickling a sliced Arrow table serializes the WHOLE parent
-        # buffer (P-fold write amplification through the object store);
-        # concat_arrays on the sliced chunks copies just the slice
-        return pa.table({name: pa.concat_arrays([c for c in tbl.column(name).chunks])
-                         for name in tbl.column_names})
-
-    @ray.remote(num_returns=n_parts)
-    def split_blocks(*tbls):
-        tagged = pa.concat_tables([tag_pid(t) for t in tbls])
-        pid = tagged.column("pid").to_numpy(zero_copy_only=False)
-        order = np.argsort(pid, kind="stable")
-        sorted_tbl = tagged.take(pa.array(order))
-        spid = pid[order]
-        bounds = np.searchsorted(spid, np.arange(n_parts + 1))
-        out = [_compact(sorted_tbl.slice(int(bounds[p]), int(bounds[p + 1] - bounds[p])))
-               for p in range(n_parts)]
-        return out if n_parts > 1 else out[0]
+    @ray.remote(num_returns=R)
+    def split(*items):
+        parts = [tag(x) for x in items]
+        key = np.concatenate([k for _, k in parts]).astype(np.int32)
+        tbl = pa.concat_tables([t for t, _ in parts]).append_column(
+            _KEY, pa.array(key, type=pa.int32()))
+        rng = key // step
+        order = np.argsort(rng, kind="stable")
+        tbl = tbl.take(pa.array(order))
+        bounds = np.searchsorted(rng[order], np.arange(R + 1)).tolist()
+        out = [_compact(tbl.slice(bounds[r], bounds[r + 1] - bounds[r]))
+               for r in range(R)]
+        return out if R > 1 else out[0]
 
     @ray.remote
-    def flush(pid: int, *tables):
-        tables = [t for t in tables if t.num_rows]
-        if not tables:
-            return None
-        group = pa.concat_tables(tables).drop_columns(["pid"])
-        return write_shard(shards_dir, pid, group, fp,
-                           text_col=text_col, key_cols=key_cols,
-                           keyword_cols=keyword_cols, docvalue_cols=docvalue_cols,
-                           token_filters=token_filters, vector_col=vector_col,
-                           term_vectors=term_vectors, point_cols=point_cols,
-                           shape_cols=shape_cols, bloom_fields=bloom_fields,
-                           id_version_fields=id_version_fields,
-                bp_reorder=bp_reorder,
-                index_sort=index_sort)
-
-    # several blocks per split task: fewer (task, object) overheads while
-    # keeping enough tasks to fill the CPU pool
-    n_cpus = int(ray.cluster_resources().get("CPU", 8))
-    per_task = max(1, len(block_refs) // (2 * n_cpus))
-    per_pid: list[list] = [[] for _ in range(n_parts)]
-    for i in range(0, len(block_refs), per_task):
-        refs = split_blocks.remote(*block_refs[i:i + per_task])
-        if n_parts == 1:
-            refs = [refs]
-        for p, r in enumerate(refs):
-            per_pid[p].append(r)
-    futs = [flush.remote(p, *per_pid[p]) for p in range(n_parts)]
-    return [m for m in ray.get(futs) if m is not None]
-
-
-def _exchange_two_level(block_refs, tag_pid, n_parts: int, shards_dir: str,
-                        fp: str, text_col: str, key_cols, keyword_cols=(),
-                        docvalue_cols=(), token_filters=(),
-                        vector_col=None, term_vectors=False,
-                        point_cols=None, shape_cols=None,
-                        bloom_fields=(), id_version_fields=(),
-                        bp_reorder=False, index_sort=()) -> list[dict]:
-    """Two-level exchange for large partition counts (block → coarse bucket →
-    shards): split tasks return one object per COARSE bucket (contiguous pid
-    range), and one flush task per bucket re-splits its data by pid and
-    writes each shard.  Exchange objects: split_tasks × C + C instead of
-    split_tasks × P; flush parallelism = C tasks.  C is max(√P, 2×CPUs)
-    so per-bucket work shrinks as the pool grows; at 10^12 turns / 5M
-    partitions this keeps the object count in the tens of millions instead
-    of tens of billions (NOTES.md round-3)."""
-    import math
-
-    import ray
-
-    n_cpus = int(ray.cluster_resources().get("CPU", 8))
-    C = min(n_parts, max(int(math.ceil(math.sqrt(n_parts))), 2 * n_cpus))
-    step = -(-n_parts // C)                      # pids per coarse bucket
-    C = -(-n_parts // step)                      # tighten after rounding
-
-    def _compact(tbl: pa.Table) -> pa.Table:
-        # slicing note as in the single-level exchange: pickling a slice
-        # ships the whole parent buffer; concat_arrays copies just the slice
-        return pa.table({name: pa.concat_arrays([c for c in tbl.column(name).chunks])
-                         for name in tbl.column_names})
-
-    @ray.remote(num_returns=C)
-    def split_coarse(*tbls):
-        tagged = pa.concat_tables([tag_pid(t) for t in tbls])
-        pid = tagged.column("pid").to_numpy(zero_copy_only=False)
-        coarse = pid // step
-        order = np.argsort(coarse, kind="stable")
-        sorted_tbl = tagged.take(pa.array(order))
-        sc = coarse[order]
-        bounds = np.searchsorted(sc, np.arange(C + 1))
-        out = [_compact(sorted_tbl.slice(int(bounds[c]), int(bounds[c + 1] - bounds[c])))
-               for c in range(C)]
-        return out if C > 1 else out[0]
-
-    @ray.remote
-    def flush_bucket(c: int, *tables):
+    def reduce(r: int, *tables):
         tables = [t for t in tables if t.num_rows]
         if not tables:
             return []
-        group = pa.concat_tables(tables)
-        pid = group.column("pid").to_numpy(zero_copy_only=False)
-        order = np.argsort(pid, kind="stable")
-        group = group.take(pa.array(order))
-        spid = pid[order]
-        lo_pid, hi_pid = c * step, min((c + 1) * step, n_parts)
-        bounds = np.searchsorted(spid, np.arange(lo_pid, hi_pid + 1))
-        manifests = []
-        for i, p in enumerate(range(lo_pid, hi_pid)):
-            sub = group.slice(int(bounds[i]), int(bounds[i + 1] - bounds[i]))
-            if sub.num_rows == 0:
-                continue
-            manifests.append(write_shard(
-                shards_dir, p, sub.drop_columns(["pid"]), fp,
-                text_col=text_col, key_cols=key_cols, keyword_cols=keyword_cols,
-                docvalue_cols=docvalue_cols, token_filters=token_filters,
-                vector_col=vector_col, term_vectors=term_vectors,
-                point_cols=point_cols, shape_cols=shape_cols,
-                bloom_fields=bloom_fields,
-                id_version_fields=id_version_fields,
-                bp_reorder=bp_reorder,
-                index_sort=index_sort))
-        return manifests
+        tbl = pa.concat_tables(tables)
+        key = tbl.column(_KEY).to_numpy()
+        tbl = tbl.drop_columns([_KEY])
+        if step > 1:                 # a one-key range is already in order
+            order = np.argsort(key, kind="stable")
+            tbl, key = tbl.take(pa.array(order)), key[order]
+        keys = range(r * step, min((r + 1) * step, n_keys))
+        bounds = np.searchsorted(key, np.arange(keys.start, keys.stop + 1)).tolist()
+        return [reduce_one(k, tbl.slice(bounds[i], bounds[i + 1] - bounds[i]))
+                for i, k in enumerate(keys) if bounds[i + 1] > bounds[i]]
 
-    per_task = max(1, len(block_refs) // (2 * n_cpus))
-    per_bucket: list[list] = [[] for _ in range(C)]
-    for i in range(0, len(block_refs), per_task):
-        refs = split_coarse.remote(*block_refs[i:i + per_task])
-        if C == 1:
-            refs = [refs]
-        for c, r in enumerate(refs):
-            per_bucket[c].append(r)
-    futs = [flush_bucket.remote(c, *per_bucket[c]) for c in range(C)]
-    return [m for ms in ray.get(futs) for m in ms]
+    # several inputs per map task: fewer (task, object) overheads while
+    # keeping enough tasks to fill the CPU pool
+    per_task = max(1, len(inputs) // (2 * n_cpus))
+    per_range: list[list] = [[] for _ in range(R)]
+    for i in range(0, len(inputs), per_task):
+        refs = split.remote(*inputs[i:i + per_task])
+        for r, ref in enumerate(refs if R > 1 else [refs]):
+            per_range[r].append(ref)
+    return [x for out in ray.get([reduce.remote(r, *per_range[r]) for r in range(R)])
+            for x in out]
 
 
-def merge_term_stats(index_dir: str, commit: dict, n_salts: int = 16) -> str:
-    """Global term statistics via the groupby-on-term merge shuffle.
+def _flush_partitions(block_refs, split_points, done, shards_dir: str, fp: str,
+                      pid_offset: int = 0, **shard_kw) -> list[dict]:
+    """Run the partition exchange: a row's key is its conv_id range
+    partition (its pid minus ``pid_offset``), rows of already-committed
+    pids in ``done`` are dropped (resume), and each non-empty partition is
+    one ``write_shard`` (it re-sorts by the key columns, so slice arrival
+    order does not matter); empty partitions produce no shard."""
+    splits = np.array(split_points, dtype=object)
+    skip = np.array(sorted(p - pid_offset for p in done), dtype=np.int64)
+    key_col = shard_kw["key_cols"][0]
 
-    This is the Lucene merge's ``mergeTerms`` statistics half
-    (`index/SegmentMerger.java:196`) as a two-level aggregation:
+    def tag(tbl: pa.Table):
+        k = np.searchsorted(splits, tbl.column(key_col).to_numpy(zero_copy_only=False),
+                            side="right")
+        if len(skip):
+            keep = ~np.isin(k, skip)
+            tbl, k = tbl.filter(pa.array(keep)), k[keep]
+        return tbl, k
 
-    1. map-side combine (NO shuffle): within each batch of shard term rows,
-       sum (df, ttf) per (term, salt) — per-shard dictionaries are already
-       unique per term, so after the combine a hot term (one that appears in
-       EVERY shard) contributes at most ``n_salts`` rows per batch instead
-       of one row per shard.  The salt bounds any single reducer key's
-       group size regardless of how many shards a term appears in — the
-       explicit skew guard for stopword-class terms.
-    2. ONE groupby(term) shuffle over the combined partials, summing the
-       salted partials into the final (term, df, ttf) row.
+    def write(k: int, rows: pa.Table) -> dict:
+        return write_shard(shards_dir, pid_offset + k, rows, fp, **shard_kw)
 
-    The output is hash-partitioned by term (bucket-%04d.parquet, bucket =
-    fnv1a64(term) %% STATS_BUCKETS) so searchers load only the buckets their
-    query terms hash to — the driver never needs the full dictionary in RAM.
+    n_parts = len(split_points) + 1
+    n_reducers = (n_parts if n_parts <= TWO_LEVEL_PARTS
+                  else max(math.ceil(math.sqrt(n_parts)), 2 * _n_cpus()))
+    return _exchange(block_refs, tag, n_parts, n_reducers, write)
+
+
+def build_index(ds, index_dir: str, *, target_docs_per_partition: int = 200_000,
+                text_col: str = "text", key_cols: tuple[str, str] = ("conv_id", "turn_idx"),
+                keyword_cols: tuple[str, ...] = (),
+                docvalue_cols: tuple[str, ...] = (),
+                token_filters: tuple[str, ...] = (),
+                vector_col: str | None = None,
+                term_vectors: bool = False,
+                point_cols: dict | None = None,
+                shape_cols: dict | None = None,
+                bloom_fields: tuple = (),
+                id_version_fields: tuple = (),
+                bp_reorder: bool = False,
+                index_sort: tuple = (),
+                input_desc: str = "", merge_stats: bool = True) -> dict:
+    """Build (or resume) an index from a transcripts Dataset; returns commit.
+
+    ``ds`` must contain key_cols + text_col.  Ray must already be
+    initialized by the caller.  The partition exchange is an explicit
+    two-stage map/reduce over raw Ray tasks (``_exchange``): map tasks
+    split each group of input blocks by pid range, reduce tasks gather
+    exactly their slices and write the shards — the same bytes a shuffle
+    moves, with no sort barrier and full reduce parallelism.
     """
-    import ray
-    import ray.data
+    prof = os.environ.get("LUCENE_RAY_PROFILE")
+    t_start = time.perf_counter()
+
+    def _mark(name):
+        if prof:
+            print(f"[build-prof] {name}: {time.perf_counter() - t_start:.2f}s",
+                  file=sys.stderr)
+
+    os.makedirs(os.path.join(index_dir, "shards"), exist_ok=True)
+
+    # fast path: a commit with this input already exists and is intact
+    prev = mf.latest_commit(index_dir)
+    if prev is not None and input_desc and prev.get("input_desc") == input_desc \
+            and prev.get("format") == FORMAT_VERSION:
+        have = mf.committed_shards(index_dir, prev["fingerprint"])
+        if set(have) == {m["pid"] for m in prev["shards"]}:
+            return prev
+
+    # ---- planning pass: materialize the projected block refs ONCE and
+    # sample them with tiny ray tasks — the same refs then feed the
+    # exchange, so the corpus is read exactly once ----
+    extra_dv = [c for c in docvalue_cols if c not in key_cols]
+    # "col:int8" (scalar-quantized store) still reads the plain column
+    extra_vec = [vector_col.split(":")[0]] if vector_col else []
+    extra_pt = [c for cols in (point_cols or {}).values() for c in cols
+                if c not in key_cols and c not in docvalue_cols
+                and c not in keyword_cols and c != text_col]
+    extra_shp = [c for cols in (shape_cols or {}).values()
+                 for c in cols[-2:]          # leading entries are markers
+                 if c not in key_cols and c != text_col]
+    block_refs, n_total = _block_refs(ds.select_columns(
+        [*key_cols, text_col, *keyword_cols, *extra_dv, *extra_vec, *extra_pt,
+         *extra_shp]))
+    n_parts = max(1, -(-n_total // target_docs_per_partition))
+    split_points = _plan_from_blocks(block_refs, n_parts, key_cols[0])
+
+    fp = mf.fingerprint({
+        "input": input_desc,
+        "splits": split_points,
+        "format": FORMAT_VERSION,
+        "text_col": text_col,
+        "key_cols": list(key_cols),
+        "keyword_cols": list(keyword_cols),
+        "docvalue_cols": list(docvalue_cols),
+        "token_filters": list(token_filters),
+        "vector_col": vector_col,
+        "term_vectors": bool(term_vectors),
+        "point_cols": {k: list(v) for k, v in (point_cols or {}).items()},
+        "shape_cols": {k: list(v) for k, v in (shape_cols or {}).items()},
+        **({"bloom_fields": list(bloom_fields)} if bloom_fields else {}),
+        **({"id_version_fields": list(id_version_fields)}
+           if id_version_fields else {}),
+        **({"bp_reorder": True} if bp_reorder else {}),
+        **({"index_sort": [list(x) for x in index_sort]} if index_sort else {}),
+    })
+
+    done = mf.committed_shards(index_dir, fp)
+    _mark("plan")
+
+    if len(done) < len(split_points) + 1:
+        for m in _flush_partitions(
+                block_refs, split_points, done, os.path.join(index_dir, "shards"), fp,
+                text_col=text_col, key_cols=key_cols,
+                keyword_cols=keyword_cols, docvalue_cols=docvalue_cols,
+                token_filters=token_filters, vector_col=vector_col,
+                term_vectors=term_vectors, point_cols=point_cols,
+                shape_cols=shape_cols, bloom_fields=bloom_fields,
+                id_version_fields=id_version_fields, bp_reorder=bp_reorder,
+                index_sort=index_sort):
+            done[int(m["pid"])] = dict(m)
+    _mark("exchange+flush")
+
+    commit = mf.commit_index(index_dir, list(done.values()), {
+        "fingerprint": fp,
+        "input_desc": input_desc,
+        "split_points": split_points,
+        "key_cols": list(key_cols),
+        "keyword_cols": list(keyword_cols),
+        "docvalue_cols": list(docvalue_cols),
+        "token_filters": list(token_filters),
+        "vector_col": vector_col,
+        "term_vectors": bool(term_vectors),
+        "point_cols": {k: list(v) for k, v in (point_cols or {}).items()},
+        "shape_cols": {k: list(v) for k, v in (shape_cols or {}).items()},
+        "bloom_fields": list(bloom_fields),
+        "id_version_fields": list(id_version_fields),
+        "bp_reorder": bool(bp_reorder),
+        "index_sort": [list(x) for x in index_sort],
+        "text_col": text_col,
+        "format": FORMAT_VERSION,
+    })
+
+    if merge_stats:
+        merge_term_stats(index_dir, commit)
+    _mark("stats-merge")
+    return commit
+
+
+def merge_term_stats(index_dir: str, commit: dict) -> str:
+    """Global term statistics: the Lucene merge's ``mergeTerms`` statistics
+    half (`index/SegmentMerger.java:196`) as one hash-by-term map/reduce
+    over the partition exchange.
+
+    Map: each task reads its shards' ``(term, df, ttf)`` rows, casts them
+    to one schema and keys every row by its bucket ``fnv1a64(term) %
+    STATS_BUCKETS``.  Reduce: one task per contiguous bucket range
+    (``min(STATS_BUCKETS, CPUs)`` ranges) sums (df, ttf) per term with an
+    Arrow group_by, sorts by term and writes ``bucket-%04d.parquet``.  No
+    salt is needed: every shard dictionary holds a term at most once, so a
+    term adds at most one row per shard to its bucket.
+
+    The output is hash-partitioned by term so searchers load only the
+    buckets their query terms hash to — the driver never holds the
+    dictionary.  ``term_stats/`` is rewritten in place.
+    """
+    import shutil
+
+    import pyarrow.parquet as pq
 
     from ..util.hashing import fnv1a64
 
-    paths = [os.path.join(mf.shard_dirpath(index_dir, m), "terms.parquet")
-             for m in commit["shards"]]
     out_dir = os.path.join(index_dir, "term_stats")
-
-    total_term_rows = sum(int(m["n_terms"]) for m in commit["shards"])
-    if total_term_rows <= 2_000_000:
-        # small-vocabulary fast path: parallel shard reads + driver combine
-        # (the groupby shuffle below is the path for vocabularies that don't
-        # fit one process)
-        import shutil
-
-        import pyarrow.parquet as pq
-
-        @ray.remote
-        def read_terms(p):
-            return pq.read_table(p, columns=["term", "df", "ttf"])
-
-        parts = ray.get([read_terms.remote(p) for p in paths])
-        schema = pa.schema([("term", pa.string()), ("df", pa.int32()), ("ttf", pa.int64())])
-        parts = [t.cast(schema) for t in parts]
-        merged = pa.concat_tables(parts).group_by("term").aggregate(
-            [("df", "sum"), ("ttf", "sum")])
-        merged = merged.rename_columns(["term", "df", "ttf"])
-        if os.path.exists(out_dir):
-            shutil.rmtree(out_dir)
-        os.makedirs(out_dir)
-        bucket = (fnv1a64(merged.column("term")) % np.uint64(STATS_BUCKETS)).astype(np.int64)
-        order = np.argsort(bucket, kind="stable")
-        merged = merged.take(pa.array(order))
-        bucket = bucket[order]
-        bounds = np.searchsorted(bucket, np.arange(STATS_BUCKETS + 1))
-        for b in range(STATS_BUCKETS):
-            lo, hi = int(bounds[b]), int(bounds[b + 1])
-            if hi > lo:
-                pq.write_table(merged.slice(lo, hi - lo),
-                               os.path.join(out_dir, f"bucket-{b:04d}.parquet"))
-        return out_dir
-
-    def combine(batch: pa.Table) -> pa.Table:
-        salt = (np.arange(len(batch)) % n_salts).astype(np.int32)
-        batch = batch.append_column("salt", pa.array(salt, type=pa.int32()))
-        out = batch.group_by(["term", "salt"]).aggregate([("df", "sum"), ("ttf", "sum")])
-        return out.rename_columns(["term", "salt", "df", "ttf"]).drop_columns(["salt"])
-
-    stats = (
-        ray.data.read_parquet(paths, columns=["term", "df", "ttf"])
-        .map_batches(combine, batch_format="pyarrow")
-        .groupby("term").aggregate(
-            ray.data.aggregate.Sum("df", alias_name="df"),
-            ray.data.aggregate.Sum("ttf", alias_name="ttf"))
-    )
-    import shutil
     if os.path.exists(out_dir):
         shutil.rmtree(out_dir)
     os.makedirs(out_dir)
+    schema = pa.schema([("term", pa.string()), ("df", pa.int32()), ("ttf", pa.int64())])
 
-    def tag_bucket(batch: pa.Table) -> pa.Table:
-        b = (fnv1a64(batch.column("term")) % np.uint64(STATS_BUCKETS)).astype(np.int64)
-        return batch.append_column("bucket", pa.array(b, type=pa.int64()))
+    def tag(path: str):
+        t = pq.read_table(path, columns=["term", "df", "ttf"]).cast(schema)
+        return t, fnv1a64(t.column("term")) % np.uint64(STATS_BUCKETS)
 
-    def write_bucket(group: pa.Table) -> pa.Table:
-        b = int(group.column("bucket")[0].as_py())
-        pq_path = os.path.join(out_dir, f"bucket-{b:04d}.parquet")
-        import pyarrow.parquet as _pq
+    def write_bucket(b: int, rows: pa.Table) -> int:
+        merged = (rows.group_by("term").aggregate([("df", "sum"), ("ttf", "sum")])
+                  .rename_columns(["term", "df", "ttf"]).sort_by("term"))
+        pq.write_table(merged, os.path.join(out_dir, f"bucket-{b:04d}.parquet"))
+        return merged.num_rows
 
-        _pq.write_table(group.drop_columns(["bucket"]), pq_path)
-        return pa.table({"bucket": [b], "rows": [group.num_rows]})
-
-    (stats.map_batches(tag_bucket, batch_format="pyarrow")
-     .groupby("bucket").map_groups(write_bucket, batch_format="pyarrow")
-     .take_all())
+    paths = [os.path.join(mf.shard_dirpath(index_dir, m), "terms.parquet")
+             for m in commit["shards"]]
+    _exchange(paths, tag, STATS_BUCKETS, min(STATS_BUCKETS, _n_cpus()), write_bucket)
     return out_dir
 
 
@@ -620,13 +442,8 @@ def append_index(ds, index_dir: str, *, input_desc: str,
     pid_offset = 1 + max(m["pid"] for m in prev["shards"])
 
     extra_dv = [c for c in docvalue_cols if c not in key_cols]
-    proj = ds.select_columns([*key_cols, text_col, *keyword_cols, *extra_dv])
-    pairs = [(br, meta.num_rows)
-             for bundle in proj.iter_internal_ref_bundles()
-             for br, meta in zip(bundle.block_refs, bundle.metadata)
-             if meta.num_rows]
-    block_refs = [br for br, _ in pairs]
-    n_total = sum(n for _, n in pairs)     # one execution, like build_index
+    block_refs, n_total = _block_refs(
+        ds.select_columns([*key_cols, text_col, *keyword_cols, *extra_dv]))
     n_parts = max(1, -(-n_total // target_docs_per_partition))
     split_points = _plan_from_blocks(block_refs, n_parts, key_cols[0])
     fp = mf.fingerprint({
@@ -639,31 +456,18 @@ def append_index(ds, index_dir: str, *, input_desc: str,
         **({"bp_reorder": True} if bp_reorder else {}),
         **({"index_sort": [list(x) for x in index_sort]} if index_sort else {}),
     })
-    shards_dir = os.path.join(index_dir, "shards")
     done = mf.committed_shards(index_dir, fp)
-    splits_arr = np.array(split_points, dtype=object)
-    done_set = frozenset(done)
-
-    def tag_pid(batch: pa.Table) -> pa.Table:
-        cids = batch.column(key_cols[0]).to_numpy(zero_copy_only=False)
-        pid = (np.searchsorted(splits_arr, cids, side="right") + pid_offset).astype(np.int32)
-        batch = batch.append_column("pid", pa.array(pid, type=pa.int32()))
-        if done_set:
-            keep = pa.compute.invert(pa.compute.is_in(
-                batch.column("pid"), value_set=pa.array(sorted(done_set), type=pa.int32())))
-            batch = batch.filter(keep)
-        return batch
-
-    todo = [p for p in range(pid_offset, pid_offset + len(split_points) + 1) if p not in done]
-    if todo:
-        new_manifests = _exchange_with_tasks(
-            block_refs, tag_pid, pid_offset + len(split_points) + 1, shards_dir, fp,
-            text_col, key_cols, keyword_cols, docvalue_cols, token_filters,
-            term_vectors=term_vectors, bloom_fields=bloom_fields,
-            id_version_fields=id_version_fields,
-                bp_reorder=bp_reorder,
-                index_sort=index_sort)
-        for m in new_manifests:
+    if len(done) < len(split_points) + 1:
+        # keys count from the first new pid, so no empty slice or flush
+        # task is spent on the existing shards' pids
+        for m in _flush_partitions(
+                block_refs, split_points, done, os.path.join(index_dir, "shards"),
+                fp, pid_offset,
+                text_col=text_col, key_cols=key_cols, keyword_cols=keyword_cols,
+                docvalue_cols=docvalue_cols, token_filters=token_filters,
+                term_vectors=term_vectors, bloom_fields=bloom_fields,
+                id_version_fields=id_version_fields, bp_reorder=bp_reorder,
+                index_sort=index_sort):
             done[int(m["pid"])] = dict(m)
 
     all_shards = [m for m in prev["shards"]] + list(done.values())
