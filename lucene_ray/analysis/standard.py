@@ -309,18 +309,21 @@ def tokenize_batch(texts) -> list[list[str]]:
 # ---------------------------------------------------------------------------
 # Columnar batch tokenization (the index-build hot path).
 #
-# ASCII rows take a GIL-free Rust-regex path (polars str.to_lowercase +
+# Every ASCII row takes a GIL-free Rust-regex path (polars str.to_lowercase +
 # str.extract_all with the same ASCII WORD pattern — leftmost-first
-# alternation semantics match Python re); rows that are non-ASCII or might
-# contain >255-char tokens fall back to the per-row analyzer.  Token parity
-# with analyze() is asserted in tests.
+# alternation semantics match Python re).  A match longer than
+# DEFAULT_MAX_TOKEN_LENGTH needs fast_tokens' chop + re-lex, so one
+# vectorized length check over the extracted tokens sends its row, like
+# every non-ASCII row, to the per-row analyzer.  Token parity with analyze()
+# is asserted in tests.
 # ---------------------------------------------------------------------------
 
 def tokenize_column(col):
     """pa.Array/ChunkedArray of text -> (lengths int64[], flat tokens pa.Array).
 
     flat concatenates every document's terms in document order; lengths give
-    tokens per document.
+    tokens per document.  Only non-ASCII rows and rows holding a token over
+    DEFAULT_MAX_TOKEN_LENGTH chars run the per-row ``analyze()``.
     """
     import numpy as np
     import pyarrow as pa
@@ -338,39 +341,32 @@ def tokenize_column(col):
         import polars as pl
 
         s = pl.Series("t", col).fill_null("")
-        fast_mask = (s.str.len_bytes() == s.str.len_chars()) & (s.str.len_bytes() <= DEFAULT_MAX_TOKEN_LENGTH)
-        fast = s.set(~fast_mask, "")          # slow rows contribute 0 fast tokens
-        toks = fast.str.to_lowercase().str.extract_all(_ASCII.pattern)
+        is_ascii = s.str.len_bytes() == s.str.len_chars()
+        toks = s.set(~is_ascii, "").str.to_lowercase().str.extract_all(_ASCII.pattern)
         lengths = toks.list.len().cast(pl.Int64).to_numpy().copy()
         flat = toks.explode(empty_as_null=True).drop_nulls()
+        slow = ~is_ascii.to_numpy()
+        long_tok = (flat.str.len_bytes() > DEFAULT_MAX_TOKEN_LENGTH).to_numpy()
+        if long_tok.any():
+            tok_row = np.repeat(np.arange(n), lengths)
+            slow[tok_row[long_tok]] = True
+            flat = flat.filter(pl.Series(~slow[tok_row]))
         flat_pa = flat.to_arrow()
-        slow_idx = np.nonzero(~fast_mask.to_numpy())[0]
     except Exception:
-        slow_idx = np.arange(n)
+        slow = np.ones(n, dtype=bool)
         lengths = np.zeros(n, dtype=np.int64)
         flat_pa = pa.array([], type=pa.string())
 
+    slow_idx = np.nonzero(slow)[0]
     if len(slow_idx):
-        # per-row analyzer for non-ASCII / chop-risk rows, stitched back in
-        # document order
-        slow_tokens = []
-        for i in slow_idx:
-            v = col[int(i)].as_py()
-            slow_tokens.append(analyze(v) if v else [])
-        offsets = np.concatenate(([0], np.cumsum(lengths)))
-        parts = []
-        prev = 0
-        flat_np = None
-        for j, i in enumerate(slow_idx):
-            cut = int(offsets[i])
-            if cut > prev:
-                parts.append(flat_pa.slice(prev, cut - prev))
-            if slow_tokens[j]:
-                parts.append(pa.array(slow_tokens[j], type=flat_pa.type))
-            prev = cut
-            lengths[i] = len(slow_tokens[j])
-        if prev < len(flat_pa):
-            parts.append(flat_pa.slice(prev))
-        flat_pa = pa.concat_arrays([p.combine_chunks() if isinstance(p, pa.ChunkedArray) else p
-                                    for p in parts]) if parts else pa.array([], type=pa.string())
+        # slow rows' tokens go after the fast ones, then one take puts every
+        # token back in document order
+        slow_tokens = [analyze(v) if v else [] for v in col.take(slow_idx).to_pylist()]
+        lengths[slow_idx] = [len(t) for t in slow_tokens]
+        slow_flat = pa.array([t for ts in slow_tokens for t in ts], type=flat_pa.type)
+        from_slow = np.repeat(slow, lengths)
+        src = np.empty(len(from_slow), dtype=np.int64)
+        src[~from_slow] = np.arange(len(flat_pa))
+        src[from_slow] = len(flat_pa) + np.arange(len(slow_flat))
+        flat_pa = pa.concat_arrays([flat_pa, slow_flat]).take(pa.array(src))
     return lengths, flat_pa

@@ -108,6 +108,13 @@ def invert_flat(flat: pa.Array, lengths: np.ndarray,
     return sorted_terms, term_starts, doc_of, freq, positions
 
 
+def _gather_runs(starts, lens):
+    """Indices of the concatenated ranges ``[starts[i], starts[i] + lens[i])``."""
+    lens = np.asarray(lens, dtype=np.int64)
+    ends = np.cumsum(lens)
+    return np.repeat(starts - (ends - lens), lens) + np.arange(ends[-1] if len(ends) else 0)
+
+
 def _encode_small_terms(term_starts, doc_of, freq, small_ids):
     """Vectorized vint encoding for all tail-only terms (df < BLOCK_SIZE).
 
@@ -115,44 +122,23 @@ def _encode_small_terms(term_starts, doc_of, freq, small_ids):
     with a single vint_encode call; per-term offsets come from per-value byte
     counts.  Returns (payload bytes, nbytes int64[] per small term).
     """
+    from .postings import _bit_length
+
     if len(small_ids) == 0:
         return b"", np.zeros(0, dtype=np.int64)
     dfs = (term_starts[small_ids + 1] - term_starts[small_ids]).astype(np.int64)
-    total = int(dfs.sum())
-    # gather per-term doc runs
-    idx = np.concatenate([np.arange(term_starts[t], term_starts[t + 1]) for t in small_ids]) \
-        if len(small_ids) < 100000 else None
-    if idx is None:
-        # faster run construction for very many terms
-        reps = dfs
-        starts = term_starts[small_ids]
-        idx = np.repeat(starts - np.concatenate(([0], np.cumsum(reps)[:-1])), reps) + np.arange(total)
+    idx = _gather_runs(term_starts[small_ids], dfs)
     docs = doc_of[idx].astype(np.int64)
-    frqs = freq[idx].astype(np.int64)
-    # per-term deltas with first entry doc0+1
-    run_start = np.zeros(total, dtype=bool)
-    run_bounds = np.cumsum(dfs)[:-1]
-    run_start[0] = True
-    run_start[run_bounds] = True
-    deltas = np.empty(total, dtype=np.int64)
-    deltas[0] = docs[0] + 1
-    deltas[1:] = docs[1:] - docs[:-1]
-    deltas[run_start] = docs[run_start] + 1
-    # interleave [deltas_t, freqs_t] per term
-    combined = np.empty(2 * total, dtype=np.uint64)
-    # positions: for term k occupying run [s,e): deltas at out[2s .. ), freqs after
-    out_base = np.repeat(np.cumsum(np.concatenate(([0], 2 * dfs[:-1]))), dfs)
-    within = np.arange(total) - np.repeat(np.concatenate(([0], np.cumsum(dfs)[:-1])), dfs)
-    combined[out_base + within] = deltas.astype(np.uint64)
-    combined[out_base + within + np.repeat(dfs, dfs)] = frqs.astype(np.uint64)
-    payload = vint_encode(combined)
-    # byte length per value -> per term
-    from .postings import _bit_length
-    vb = np.maximum((_bit_length(combined) + 6) // 7, 1)
-    per_val_off = np.concatenate(([0], np.cumsum(vb)))
-    term_val_bounds = np.cumsum(np.concatenate(([0], 2 * dfs)))
-    nbytes = per_val_off[term_val_bounds[1:]] - per_val_off[term_val_bounds[:-1]]
-    return payload, nbytes.astype(np.int64)
+    first = np.cumsum(dfs) - dfs                  # each term's first value
+    deltas = np.diff(docs, prepend=0)             # per term, the first is doc + 1
+    deltas[first] = docs[first] + 1
+    # term t's deltas fill combined[2 * first_t:][:df_t], its freqs follow
+    combined = np.empty(2 * len(docs), dtype=np.uint64)
+    slot = _gather_runs(2 * first, dfs)
+    combined[slot] = deltas.astype(np.uint64)
+    combined[slot + np.repeat(dfs, dfs)] = freq[idx].astype(np.uint64)
+    vb = np.maximum((_bit_length(combined) + 6) // 7, 1)     # bytes per vint
+    return vint_encode(combined), np.add.reduceat(vb, 2 * first).astype(np.int64)
 
 
 def _extract_payloads(flat, lengths: np.ndarray, spec: str):
@@ -210,46 +196,55 @@ def keyword_term(field: str, value: str) -> str:
 
 def _append_keyword_postings(terms, term_starts, doc_of, freq, positions,
                              table: pa.Table, keyword_cols):
-    """Extend the inversion arrays with keyword-field postings, then re-sort
-    the term runs so the dictionary stays globally sorted."""
-    kw_terms, kw_docs = [], []
+    """Splice keyword-field postings into the inversion arrays.
+
+    The few keyword terms are sorted and binary-searched into the sorted text
+    dictionary (code-point order, which is the UTF-8 byte order of
+    ``sort_indices``); every text and keyword run then moves to its final
+    slot in one gather, with no per-term Python over the text terms."""
+    kw_terms, kw_docs, kw_dfs = [], [], []
     for col in keyword_cols:
         if col not in table.column_names:
             continue
-        arr = table.column(col)
-        if isinstance(arr, pa.ChunkedArray):
-            arr = arr.combine_chunks()
-        denc = pa.compute.dictionary_encode(arr)
-        if isinstance(denc, pa.ChunkedArray):
-            denc = denc.combine_chunks()
-        codes = denc.indices.to_numpy(zero_copy_only=False)
-        for vi, val in enumerate(denc.dictionary.to_pylist()):
-            if val is None or val == "":
-                continue
-            docs = np.nonzero(codes == vi)[0].astype(np.int32)   # ascending
-            kw_terms.append(keyword_term(col, val))
-            kw_docs.append(docs)
+        denc = pa.compute.dictionary_encode(table.column(col).combine_chunks())
+        vals = denc.dictionary.to_pylist()
+        keep = np.array([v != "" for v in vals], dtype=bool)
+        codes = pa.compute.fill_null(denc.indices, -1).to_numpy(zero_copy_only=False)
+        docs = np.nonzero(np.append(keep, False)[codes])[0]    # null's -1 reads False
+        # one run per kept value, docs ascending within it
+        kw_docs.append(docs[np.argsort(codes[docs], kind="stable")].astype(np.int32))
+        kw_dfs.append(np.bincount(codes[docs], minlength=len(vals))[keep])
+        kw_terms.extend(keyword_term(col, v) for v, k in zip(vals, keep) if k)
     if not kw_terms:
         return terms, term_starts, doc_of, freq, positions
 
-    text_terms = terms.to_numpy(zero_copy_only=False) if isinstance(terms, (pa.Array, pa.ChunkedArray)) \
-        else np.asarray(terms, dtype=object)
-    all_terms = np.concatenate((text_terms.astype(object),
-                                np.asarray(kw_terms, dtype=object)))
-    run_docs = [doc_of[term_starts[t]:term_starts[t + 1]] for t in range(len(terms))] + kw_docs
-    run_freq = [freq[term_starts[t]:term_starts[t + 1]] for t in range(len(terms))] + \
-        [np.ones(len(d), dtype=np.int32) for d in kw_docs]
-    pb = np.concatenate(([0], np.cumsum(freq.astype(np.int64))))
-    run_pos = [positions[pb[term_starts[t]]:pb[term_starts[t + 1]]] for t in range(len(terms))] + \
-        [np.zeros(len(d), dtype=np.int32) for d in kw_docs]
-    order = np.argsort(all_terms)
-    sorted_terms = pa.array(all_terms[order], type=pa.string())
-    doc_of2 = np.concatenate([run_docs[i] for i in order]) if len(order) else doc_of
-    freq2 = np.concatenate([run_freq[i] for i in order]) if len(order) else freq
-    pos2 = np.concatenate([run_pos[i] for i in order]) if len(order) else positions
-    lens = np.array([len(run_docs[i]) for i in order], dtype=np.int64)
-    term_starts2 = np.concatenate(([0], np.cumsum(lens)))
-    return sorted_terms, term_starts2, doc_of2.astype(np.int32), freq2.astype(np.int32), pos2.astype(np.int32)
+    os.environ.setdefault("POLARS_MAX_THREADS", "1")
+    import polars as pl
+
+    V, K = len(terms), len(kw_terms)
+    ko = np.array(sorted(range(K), key=kw_terms.__getitem__), dtype=np.int64)
+    kw_arr = pa.array(kw_terms, type=terms.type)
+    ins = pl.from_arrow(terms).search_sorted(
+        pl.from_arrow(kw_arr.take(pa.array(ko))), side="left").to_numpy()
+    # source term s (text terms, then keyword terms in input order) lands at
+    # new slot j where src[j] == s
+    src = np.empty(V + K, dtype=np.int64)
+    src[np.arange(V) + np.searchsorted(ins, np.arange(V), side="right")] = np.arange(V)
+    src[ins + np.arange(K)] = V + ko
+    kw_docs = np.concatenate(kw_docs)
+    kw_dfs = np.concatenate(kw_dfs).astype(np.int64)
+    P = len(doc_of)
+    run_start = np.concatenate((term_starts[:-1], P + np.cumsum(kw_dfs) - kw_dfs))[src]
+    run_len = np.concatenate((np.diff(term_starts), kw_dfs))[src]
+    g = _gather_runs(run_start, run_len)
+    all_freq = np.concatenate((freq, np.ones(len(kw_docs), dtype=np.int32)))
+    pb = np.concatenate(([0], np.cumsum(all_freq, dtype=np.int64)))
+    pg = _gather_runs(pb[run_start], pb[run_start + run_len] - pb[run_start])
+    all_pos = np.concatenate((positions, np.zeros(len(kw_docs), dtype=np.int32)))
+    return (pa.concat_arrays([terms, kw_arr]).take(pa.array(src)),
+            np.concatenate(([0], np.cumsum(run_len))),
+            np.concatenate((doc_of, kw_docs))[g].astype(np.int32),
+            all_freq[g].astype(np.int32), all_pos[pg].astype(np.int32))
 
 
 def _write_term_vectors(tmp_dir: str, terms, term_starts, doc_of, freq,
@@ -274,9 +269,7 @@ def _write_term_vectors(tmp_dir: str, terms, term_starts, doc_of, freq,
     pos_counts = freq[order].astype(np.int64)
     tv_pos_ptr = np.concatenate(([0], np.cumsum(pos_counts)))
     # gather each reordered posting's position run from the flat stream
-    gather = np.repeat(pb[order], pos_counts) \
-        + (np.arange(tv_pos_ptr[-1], dtype=np.int64)
-           - np.repeat(tv_pos_ptr[:-1], pos_counts))
+    gather = _gather_runs(pb[order], pos_counts)
     tv_positions = (positions[gather].astype(np.int32)
                     if len(gather) else np.zeros(0, dtype=np.int32))
     for name, arr in zip(TV_FILES, (tv_doc_ptr, tv_terms, tv_freqs,
@@ -582,8 +575,8 @@ def write_shard(out_dir: str, pid: int, table: pa.Table,
     if keyword_cols:
         terms, term_starts, doc_of, freq, positions = _append_keyword_postings(
             terms, term_starts, doc_of, freq, positions, table, keyword_cols)
-    # normalize the dictionary type: the polars fast path yields large_string,
-    # the keyword merge yields string — shards must agree for stats concat
+    # normalize the dictionary type: the polars path yields large_string,
+    # the per-row fallback string — shards must agree for stats concat
     terms = pa.compute.cast(terms, pa.string())
     norms = int_to_byte4(norm_lengths.astype(np.int64))
     dv_cols = [c for c in docvalue_cols if c not in key_cols]

@@ -12,7 +12,6 @@ because doc bases are assigned in partition order).
 
 from __future__ import annotations
 
-import glob
 import math
 import os
 from dataclasses import dataclass
@@ -275,39 +274,44 @@ class IndexSearcher:
 
     # ---- global stats (hash-bucketed; the driver never loads the full
     # dictionary — `df` reads only the bucket a term hashes to) ----
-    def _stats_bucket(self, term: str) -> dict[str, int]:
+    def _stats_bucket(self, term: str):
+        """(terms, df, ttf) columns of the bucket ``term`` hashes to, sorted
+        by term, or None when it has no file; read once per commit."""
+        import pyarrow.compute as pc
+        import pyarrow.parquet as pq
+
         from ..index.build import STATS_BUCKETS
         from ..util.hashing import fnv1a64_str
 
         if self._stats is None:
             self._stats = {}
         b = fnv1a64_str(term) % STATS_BUCKETS
-        cached = self._stats.get(b)
-        if cached is None:
-            cached = self._load_stats_files(
-                glob.glob(os.path.join(self.index_dir, "term_stats",
-                                       f"bucket-{b:04d}.parquet")))
-            self._stats[b] = cached
-        return cached
+        if b not in self._stats:
+            path = os.path.join(self.index_dir, "term_stats", f"bucket-{b:04d}.parquet")
+            cols = None
+            if os.path.exists(path):
+                t = pq.read_table(path, columns=["term", "df", "ttf"])
+                # the stats merge writes buckets term-sorted; an older
+                # index's bucket is sorted here, once
+                if pc.all(pc.less_equal(t["term"][:-1], t["term"][1:])).as_py() is False:
+                    t = t.sort_by("term")
+                cols = tuple(t[c].to_numpy() for c in ("term", "df", "ttf"))
+            self._stats[b] = cols
+        return self._stats[b]
 
-    @staticmethod
-    def _load_stats_files(paths) -> dict[str, tuple[int, int]]:
-        import pyarrow.parquet as pq
-
-        stats: dict[str, tuple[int, int]] = {}
-        for p in sorted(paths):
-            t = pq.read_table(p, columns=["term", "df", "ttf"])
-            stats.update(zip(t.column("term").to_pylist(),
-                             zip((int(v) for v in t.column("df").to_numpy()),
-                                 (int(v) for v in t.column("ttf").to_numpy()))))
-        return stats
+    def _term_stats(self, term: str) -> tuple[int, int]:
+        cols = self._stats_bucket(term)
+        i = int(np.searchsorted(cols[0], term)) if cols else 0
+        if cols and i < len(cols[0]) and cols[0][i] == term:
+            return int(cols[1][i]), int(cols[2][i])
+        return 0, 0
 
     def df(self, term: str) -> int:
-        return self._stats_bucket(term).get(term, (0, 0))[0]
+        return self._term_stats(term)[0]
 
     def ttf(self, term: str) -> int:
         """Global totalTermFreq (for LM similarities)."""
-        return self._stats_bucket(term).get(term, (0, 0))[1]
+        return self._term_stats(term)[1]
 
     def _expand_shard(self, rdr, query) -> list[str]:
         """MultiTermQuery expansion against ONE shard's sorted dictionary
