@@ -5,8 +5,10 @@ The Ray re-expression of `IndexSearcher` slice execution
 executed on an executor, merged with `TopDocs.merge`): each actor is a "slice
 executor" that memory-maps a balanced subset of posting shards ONCE in
 ``__init__`` and serves queries from that hot state; the driver compiles the
-query (weights from global stats), scatters it to all actors, and merges
+queries (weights from global stats), scatters them to all actors, and merges
 per-actor top-k with the (score desc, global-docID asc) tie-break.
+``QueryActor.search`` takes a list of compiled queries, so a batch costs one
+RPC per actor, not one per query per actor.
 
 The pool is created only after the embedding application has initialized Ray.
 """
@@ -24,12 +26,22 @@ from .searcher import IndexSearcher, ScoreDoc, TopDocs
 class QueryActor:
     def __init__(self, index_dir: str, pids: list[int]):
         self.searcher = IndexSearcher(index_dir)
+        self._attach(pids)
+
+    def _attach(self, pids: list[int]):
+        # eager mmap open (the expensive part amortized across queries);
+        # searcher.reader keeps a shard's reader until its directory changes
         self.pids = pids
-        # eager mmap open (the expensive part amortized across queries)
         self.readers = {pid: self.searcher.reader(pid) for pid in pids}
         self.bases = {pid: self.searcher._bases[pid] for pid in pids}
 
-    def search(self, compiled: dict, k: int, after=None, threshold: int = 1000):
+    def search(self, compiled: list[dict], k: int, after=None,
+               threshold: int = 1000) -> list[tuple]:
+        """Run each compiled query over this actor's shards; one
+        (scores, gids, conv_ids, turn_idxs, total, relation) per query."""
+        return [self._search_one(c, k, after, threshold) for c in compiled]
+
+    def _search_one(self, compiled: dict, k: int, after, threshold: int):
         if self.searcher.query_cache is not None:
             self.searcher.query_cache.begin_search()
         out_scores, out_gids, out_pids, out_local = [], [], [], []
@@ -72,16 +84,12 @@ class QueryActor:
         return (scores[order], gids[order], conv, turn, total, relation)
 
     def refresh(self, pids: list[int]):
-        """openIfChanged for the pool: reload the commit, take over the
-        (possibly extended) shard assignment, re-attach delete sidecars."""
+        """openIfChanged for the pool: reload the commit, take over the new
+        shard assignment and re-read every doc base (a merge moves them).
+        Readers of pids that left the assignment are dropped; a pid whose
+        directory a merge rewrote gets a new reader."""
         self.searcher.refresh()
-        self.pids = pids
-        for pid in pids:
-            if pid not in self.readers:
-                self.readers[pid] = self.searcher.reader(pid)
-                self.bases[pid] = self.searcher._bases[pid]
-            else:
-                self.readers[pid].set_deletes(self.searcher._dels.get(pid))
+        self._attach(pids)
         return len(self.pids)
 
     def ping(self):
@@ -122,31 +130,34 @@ class QueryService:
         up to the budget for the per-actor slice futures; actors that miss
         the deadline are SKIPPED (their in-flight work is not cancelled —
         the pool stays warm) and the partial merge returns timed_out=True
-        with a GTE total, exactly like the local searcher's partialResult."""
-        compiled = self.searcher.compile(query)
+        with a GTE total, exactly like the local searcher's partialResult.
+        One RPC per actor, carrying a one-query batch."""
+        compiled = [self.searcher.compile(query)]
         futs = [a.search.remote(compiled, k, after, threshold) for a in self.actors]
-        if timeout_ms is None:
-            return self._merge(ray.get(futs), k)
-        done, pending = ray.wait(futs, num_returns=len(futs),
-                                 timeout=timeout_ms / 1000.0)
-        if not pending:
-            return self._merge(ray.get(done), k)
-        if not done:                     # nothing finished: empty partial
-            td = TopDocs([], 0, RELATION_GTE)
+        done, pending = futs, []
+        if timeout_ms is not None:
+            done, pending = ray.wait(futs, num_returns=len(futs),
+                                     timeout=timeout_ms / 1000.0)
+            if not done:                 # nothing finished: empty partial
+                td = TopDocs([], 0, RELATION_GTE)
+                td.timed_out = True
+                return td
+        td = self._merge([r[0] for r in ray.get(done)], k)
+        if pending:
             td.timed_out = True
-            return td
-        td = self._merge(ray.get(done), k)
-        td.timed_out = True
-        td.relation = RELATION_GTE
+            td.relation = RELATION_GTE
         return td
 
     def search_many(self, queries, k: int = 10) -> list[TopDocs]:
-        """Pipeline a batch of queries across the pool (keeps all actors
-        busy)."""
+        """Search a batch: compile every query on the driver, send the whole
+        compiled batch to each actor in ONE RPC, merge per query.  An empty
+        batch sends nothing."""
         compiled = [self.searcher.compile(q) for q in queries]
-        futs = [[a.search.remote(c, k, None, 1000)
-                 for a in self.actors] for c in compiled]
-        return [self._merge(ray.get(f), k) for f in futs]
+        if not compiled:
+            return []
+        per_actor = ray.get([a.search.remote(compiled, k, None, 1000)
+                             for a in self.actors])
+        return [self._merge(parts, k) for parts in zip(*per_actor)]
 
     @staticmethod
     def _merge(parts, k) -> TopDocs:
@@ -162,16 +173,19 @@ class QueryService:
 
     def refresh(self) -> bool:
         """Propagate a new commit generation to the pool (NRT refresh):
-        appended shards are greedily assigned to the least-loaded actors;
-        deletes re-attach everywhere.  Returns True when the view changed."""
+        pids no longer in the commit (merged away) are dropped, appended
+        shards are greedily assigned to the least-loaded actors, and every
+        actor re-reads doc bases and deletes.  Returns True when the view
+        changed."""
         if not self.searcher.refresh():
             return False
-        commit = self.searcher.commit
+        shards = self.searcher.commit["shards"]
+        self._doc_counts = {m["pid"]: m["doc_count"] for m in shards}
+        self._assign = [[p for p in pids if p in self._doc_counts]
+                        for pids in self._assign]
         assigned = {p for a_pids in self._assign for p in a_pids}
-        load = [sum(self._doc_counts.get(p, 0) for p in pids)
-                for pids in self._assign]
-        for m in sorted(commit["shards"], key=lambda m: -m["doc_count"]):
-            self._doc_counts[m["pid"]] = m["doc_count"]
+        load = [sum(self._doc_counts[p] for p in pids) for pids in self._assign]
+        for m in sorted(shards, key=lambda m: -m["doc_count"]):
             if m["pid"] not in assigned:
                 i = int(np.argmin(load))
                 self._assign[i].append(m["pid"])

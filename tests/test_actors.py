@@ -3,7 +3,14 @@
 import pytest
 
 from lucene_ray.index.build import build_index
-from lucene_ray.search.query import TermQuery, bool_query
+from lucene_ray.search.query import (
+    FuzzyQuery,
+    PhraseQuery,
+    PrefixQuery,
+    TermQuery,
+    WildcardQuery,
+    bool_query,
+)
 from lucene_ray.search.searcher import IndexSearcher
 from lucene_ray.sources.transcripts import synth_transcripts
 
@@ -18,6 +25,24 @@ def index(ray_session, tmp_path_factory):
     return d
 
 
+class _CountingHandle:
+    """Stands in for a query actor handle and records the batch size of
+    every ``search`` RPC."""
+
+    def __init__(self, handle, sizes: list):
+        self._handle, self._sizes = handle, sizes
+        self.search = self              # handle.search.remote(...)
+
+    def remote(self, compiled, *args):
+        self._sizes.append(len(compiled))
+        return self._handle.search.remote(compiled, *args)
+
+
+def _hits(td):
+    return ([(h.gid, h.score, h.conv_id, h.turn_idx) for h in td.hits],
+            td.total_hits, td.relation)
+
+
 def test_actor_pool_matches_local(index):
     from lucene_ray.search.actors import QueryService
 
@@ -27,18 +52,62 @@ def test_actor_pool_matches_local(index):
         TermQuery("query"),
         bool_query(should=["data", "merge", "join"]),
         bool_query(must=["sort", "scan"]),
+        bool_query(must=["data"], filter_=["merge"]),
         bool_query(should=["data"], must_not=["the"]),
+        bool_query(should=["data", "merge", "join"], minimum_should_match=2),
+        PhraseQuery(("the", "data")),
+        PrefixQuery("mer"),
+        WildcardQuery("j?in"),
+        FuzzyQuery("qurey", max_edits=2),
+        TermQuery("query"),                  # duplicate within the batch
     ]
-    for q in queries:
-        a = svc.search(q, k=15)
-        b = local.search(q, k=15)
-        assert [(h.gid, h.score) for h in a.hits] == [(h.gid, h.score) for h in b.hits]
-        assert [(h.conv_id, h.turn_idx) for h in a.hits] == \
-               [(h.conv_id, h.turn_idx) for h in b.hits]
-    many = svc.search_many(queries, k=10)
-    for td, q in zip(many, queries):
-        b = local.search(q, k=10)
-        assert [h.gid for h in td.hits] == [h.gid for h in b.hits]
+    singles = [svc.search(q, k=15) for q in queries]
+    for q, a in zip(queries, singles):
+        assert _hits(a) == _hits(local.search(q, k=15)), q
+    assert any(td.hits for td in singles[6:10])   # phrase..fuzzy match something
+    sizes: list[int] = []
+    handles = svc.actors
+    svc.actors = [_CountingHandle(a, sizes) for a in handles]
+    try:
+        many = svc.search_many(queries, k=15)
+        assert sizes == [len(queries)] * len(handles)    # one RPC per actor
+        assert svc.search_many([], k=15) == []
+        assert len(sizes) == len(handles)                # empty batch: none
+    finally:
+        svc.actors = handles
+    assert [_hits(td) for td in many] == [_hits(td) for td in singles]
+    svc.shutdown()
+
+
+def test_pool_refresh_after_merge(ray_session, tmp_path_factory):
+    """A merge removes pids and moves doc bases: after force_merge +
+    refresh the pool serves the merged shard, not the pre-merge shards
+    (whose deleted docs would come back)."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from lucene_ray.index.deletes import delete_by_keys
+    from lucene_ray.index.merge import force_merge
+    from lucene_ray.search.actors import QueryService
+
+    d = str(tmp_path_factory.mktemp("mergepool"))
+    build_index(rd.from_arrow(synth_transcripts(2000, seed=5)), d,
+                target_docs_per_partition=400, input_desc="mergepool")
+    q = bool_query(should=["data", "merge", "join"])
+    svc = QueryService(d, num_actors=2)
+    assert len(svc.searcher.commit["shards"]) == 5
+    top = IndexSearcher(d).search(q, k=5).hits
+    delete_by_keys(d, pa.table({
+        "conv_id": pa.array([h.conv_id for h in top], pa.string()),
+        "turn_idx": pa.array([h.turn_idx for h in top], pa.int32())}))
+    for step in ("delete", "merge"):
+        if step == "merge":
+            force_merge(d, 1)
+        assert svc.refresh() is True
+        want = _hits(IndexSearcher(d).search(q, k=20))
+        assert _hits(svc.search(q, k=20)) == want, step
+        assert [_hits(td) for td in svc.search_many([q, q], k=20)] == [want] * 2, step
+    assert len(svc.searcher.commit["shards"]) == 1
     svc.shutdown()
 
 
