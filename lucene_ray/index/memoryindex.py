@@ -385,8 +385,8 @@ class MemoryIndex:
 
     def _phrase_freq(self, query, field: str):
         """(phrase freq, present terms) — 0 freq means no match."""
+        from ..search.phrase_matcher import SloppyPhraseMatcher
         from ..search.query import MultiPhraseQuery
-        from ..search.scorer import sloppy_freq
 
         if isinstance(query, MultiPhraseQuery):
             slots = [tuple(ts) for ts in query.slots]
@@ -405,20 +405,12 @@ class MemoryIndex:
                 return np.float32(0.0), []
             pos_lists.append(np.array(merged, dtype=np.int64))
             present_terms.extend(t for t in ts if self._positions(field, t))
-        flat = [t for ts in slots for t in ts]
-        if slop > 0 and len(set(flat)) != len(flat):
-            from ..search.phrase_matcher import SloppyPhraseMatcher
-
+        if slop > 0:
             freq = SloppyPhraseMatcher(slots, slop,
                                        offsets=offsets).freq(pos_lists)
-        elif slop > 0:
-            freq = sloppy_freq([pl - off
-                                for off, pl in zip(offsets, pos_lists)],
-                               slop)
         else:
             # explicit slot positions (gapped MultiPhraseQuery) shift each
-            # slot by its declared offset, like the engine's
-            # phrase_offsets channel
+            # slot by its declared offset, like the engine's phrase offsets
             starts = pos_lists[0] - offsets[0]
             for off, pl in zip(offsets[1:], pos_lists[1:]):
                 starts = starts[np.isin(starts, pl - off)]

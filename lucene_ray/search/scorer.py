@@ -20,6 +20,17 @@ Boolean scoring routes, all bit-identical in top-k docs and float32 scores
 The reference's document-at-a-time WANDScorer has no separate engine here:
 per-window Python bookkeeping lost to these vectorized routes on every
 measured query shape.
+
+One phrase executor, :func:`search_shard_phrase` (PhraseWeight), serves
+PhraseQuery, MultiPhraseQuery, NGramPhraseQuery and ComplexPhraseQuery —
+asserted against brute force by tests/test_phrase_routes.py.  Candidates
+are the AND of the slots' doc-unions minus deletes; then one of two kernels:
+
+- slop 0 — ExactPhraseMatcher, vectorized: (doc, position - offset)
+  composite keys per slot (a multi-term slot's keys are the union of its
+  terms'), intersected across slots; freq = aligned start positions.
+- slop > 0 — :class:`~.phrase_matcher.SloppyPhraseMatcher` per candidate
+  doc (repeat groups, multi-term slots, float32 freq).
 """
 
 from __future__ import annotations
@@ -27,6 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..index.postings import BLOCK_SIZE, decode_tail
+from .phrase_matcher import SloppyPhraseMatcher
 from .query import FILTER, MUST, MUST_NOT, SHOULD
 
 TOTAL_HITS_THRESHOLD = 1000
@@ -896,74 +908,105 @@ def search_shard_dv_rewrite(reader, query, expand_fn, k: int, after=None):
     return _const_score_hits(np.nonzero(mask)[0].astype(np.int32), k, after)
 
 
-def search_shard_phrase(reader, terms: list[str], scorer, k: int, after=None):
-    """Exact-phrase scoring over one shard (ExactPhraseMatcher equivalent,
-    vectorized): for phrase term i, build composite keys (doc, pos - i) and
-    intersect across terms — surviving keys are phrase start positions;
-    per-doc counts are the phrase freq, scored like a term with the summed
-    idf weight."""
-    tids = []
-    for t in terms:
-        tid = reader.seek_exact(t)
-        if tid < 0:
-            return np.zeros(0, np.float32), np.zeros(0, np.int32), 0, RELATION_EQ
-        tids.append(tid)
-    postings = [reader.postings(tid) for tid in tids]
-    # doc-level intersection first (the phrase can only start in docs that
-    # contain EVERY term): composite keys are then built only for the
-    # intersection's positions — the dominant win on hot phrases, where
-    # the candidate set is far smaller than either posting list.  DocIDs
-    # are dense ints, so a bitmask beats binary search.
+def search_shard_phrase(reader, slots, slop: int, scorer, k: int, after=None,
+                        offsets=None):
+    """The phrase executor (PhraseWeight) for PhraseQuery, MultiPhraseQuery,
+    NGramPhraseQuery and ComplexPhraseQuery: slot i accepts any term of
+    ``slots[i]`` (UnionPostingsEnum) at position ``offsets[i]`` (default i).
+
+    Candidates are the AND of the slot doc-unions minus deletes; then slop 0
+    runs the vectorized ExactPhraseMatcher (composite (doc, pos - offset)
+    keys intersected across slots; freq = aligned start count) and slop > 0
+    runs :class:`SloppyPhraseMatcher` per candidate doc (float freq).  The
+    freq is scored like a term with the summed idf weight."""
+    empty = (np.zeros(0, np.float32), np.zeros(0, np.int32), 0, RELATION_EQ)
+    # seek every term before decoding any postings: a slot with no present
+    # term means no match
+    slot_tids = [[tid for tid in map(reader.seek_exact, ts) if tid >= 0]
+                 for ts in slots]
+    if not slot_tids or not all(slot_tids):
+        return empty
     n_docs = reader.doc_count
-    mask = np.zeros(n_docs, dtype=bool)
-    mask[postings[0][0]] = True
-    for docs, _ in postings[1:]:
-        nxt = np.zeros(n_docs, dtype=bool)
-        sel = mask[docs]
-        nxt[docs[sel]] = True
-        mask = nxt
-    inter_docs = np.nonzero(mask)[0].astype(np.int32)
-    if len(inter_docs) == 0:
-        return np.zeros(0, np.float32), np.zeros(0, np.int32), 0, RELATION_EQ
-    inter = None
-    # Offset keeps the adjusted position strictly positive for every phrase
-    # length (pos >= 0, i < len(terms)  =>  pos - i + len(terms) >= 1), so the
-    # low 33 bits never borrow into the doc bits.
-    off = np.int64(len(terms))
-    pos_map = np.empty(n_docs, dtype=np.int64)
-    for i, tid in enumerate(tids):
-        docs, freqs = postings[i]
-        if hasattr(reader, "positions_with_bounds"):
-            flat, pb = reader.positions_with_bounds(tid, freqs)
-        else:
-            flat = reader.positions(tid, freqs)
-            pb = np.concatenate(([0], np.cumsum(freqs.astype(np.int64))))
-        pos_map[docs] = np.arange(len(docs), dtype=np.int64)
-        sel = pos_map[inter_docs]                    # exact hits by constr.
-        lens = freqs[sel].astype(np.int64)
-        starts = pb[sel]
-        total = int(lens.sum())
-        ends = np.cumsum(lens)
-        idx = np.repeat(starts - (ends - lens), lens) + np.arange(total)
-        pos = flat[idx]
-        doc_exp = np.repeat(inter_docs.astype(np.int64), lens)
-        comp = (doc_exp << np.int64(33)) | (pos.astype(np.int64) - i + off)
-        if inter is None:
-            inter = comp
-        else:
-            # both key arrays are sorted (doc asc, position asc within
-            # doc), so the intersection needs no sort
-            loc = np.searchsorted(comp, inter)
-            loc_c = np.minimum(loc, len(comp) - 1)
-            inter = inter[comp[loc_c] == inter]
-        if len(inter) == 0:
-            return np.zeros(0, np.float32), np.zeros(0, np.int32), 0, RELATION_EQ
-    pdocs, pfreq = np.unique(inter >> np.int64(33), return_counts=True)
-    pdocs = pdocs.astype(np.int32)
+    cand_mask = None
+    slot_postings = []
+    for tids in slot_tids:
+        union = np.zeros(n_docs, dtype=bool)
+        per_term = []
+        for tid in tids:
+            docs, freqs = reader.postings(tid)
+            per_term.append((tid, docs, freqs))
+            union[docs] = True
+        cand_mask = union if cand_mask is None else cand_mask & union
+        slot_postings.append(per_term)
     if reader.deleted is not None:
-        live = ~reader.deleted[pdocs]
-        pdocs, pfreq = pdocs[live], pfreq[live]
-    scores = scorer.score(pfreq.astype(np.float32), reader.norms[pdocs])
+        cand_mask &= ~reader.deleted
+    cand = np.nonzero(cand_mask)[0].astype(np.int32)
+    if len(cand) == 0:
+        return empty
+    offs = list(offsets) if offsets is not None else list(range(len(slots)))
+
+    # per slot, per present term: each candidate's [lo, hi) slice of the
+    # term's flat positions, empty where the term is absent (every
+    # candidate holds at least one term per slot, so a one-term slot's
+    # term is in every candidate)
+    spans = []
+    for per_term in slot_postings:
+        spans.append([])
+        for tid, docs, freqs in per_term:
+            flat, pb = reader.positions_with_bounds(tid, freqs)
+            j = np.searchsorted(docs, cand)
+            lo = pb[j]
+            if len(per_term) == 1:
+                hi = pb[j + 1]
+            else:
+                hit = docs[np.minimum(j, len(docs) - 1)] == cand
+                hi = np.where(hit, pb[np.minimum(j + 1, len(docs))], lo)
+            spans[-1].append((flat, lo, hi))
+
+    if slop == 0:
+        # the bias keeps every pos - offset + bias >= 0 for any offsets, so
+        # the low 33 bits never borrow into the doc bits
+        bias = np.int64(max(0, *offs))
+        cand_keys = cand.astype(np.int64) << np.int64(33)
+        inter = None
+        for off, per_term in zip(offs, spans):
+            keys = []
+            for flat, lo, hi in per_term:
+                lens = hi - lo
+                ends = np.cumsum(lens)
+                idx = np.repeat(lo - (ends - lens), lens) + np.arange(int(ends[-1]))
+                keys.append(np.repeat(cand_keys, lens)
+                            | (flat[idx].astype(np.int64) - off + bias))
+            # one term: keys are sorted (doc asc, position asc); a multi-term
+            # slot's key set is the union of its terms' keys
+            comp = keys[0] if len(keys) == 1 else np.unique(np.concatenate(keys))
+            if inter is None:
+                inter = comp
+            else:
+                loc = np.minimum(np.searchsorted(comp, inter), len(comp) - 1)
+                inter = inter[comp[loc] == inter]
+            if len(inter) == 0:
+                return empty
+        pdocs, counts = np.unique(inter >> np.int64(33), return_counts=True)
+        pdocs, pfreq = pdocs.astype(np.int32), counts.astype(np.float32)
+    else:
+        spans = [[(flat, lo.tolist(), hi.tolist()) for flat, lo, hi in per_term]
+                 for per_term in spans]
+        matcher = SloppyPhraseMatcher([tuple(ts) for ts in slots], slop, offsets=offs)
+        freq = np.zeros(len(cand), dtype=np.float32)
+        for c in range(len(cand)):
+            pls = []
+            for per_term in spans:
+                if len(per_term) == 1:
+                    flat, lo, hi = per_term[0]
+                    pls.append(flat[lo[c]:hi[c]].astype(np.int64))
+                else:
+                    pls.append(np.sort(np.concatenate(
+                        [flat[lo[c]:hi[c]] for flat, lo, hi in per_term]).astype(np.int64)))
+            freq[c] = matcher.freq(pls)
+        keep = freq > 0
+        pdocs, pfreq = cand[keep], freq[keep]
+    scores = scorer.score(pfreq, reader.norms[pdocs])
     total = int(len(pdocs))
     if after is not None:
         a_s, a_d = np.float32(after[0]), after[1]
@@ -1015,11 +1058,11 @@ def search_shard_dismax(reader, sub, tie: np.float32, k: int, after=None):
         matched &= ~reader.deleted
     cand = np.nonzero(matched)[0].astype(np.int32)
     sc = acc_max[cand] + tie * (acc_sum[cand] - acc_max[cand])
+    total = int(len(cand))
     if after is not None:
         a_s, a_d = np.float32(after[0]), after[1]
         keep = (sc < a_s) | ((sc == a_s) & (cand.astype(np.int64) > a_d))
         cand, sc = cand[keep], sc[keep]
-    total = int(len(cand))
     sc, cand = _top_k(sc.astype(np.float32), cand, k)
     return sc, cand, total, RELATION_EQ
 
@@ -1059,107 +1102,6 @@ def search_shard_indri_and(reader, sub, k: int, after=None):
     return sc, cand, total, RELATION_EQ
 
 
-def sloppy_freq(pos_lists: list[np.ndarray], slop: int) -> np.float32:
-    """SloppyPhraseMatcher greedy traversal for NON-REPEATING phrase terms
-    (`search/SloppyPhraseMatcher.java:174-205` nextMatch + PhraseScorer freq
-    accumulation): pos_lists[i] holds term i's in-doc positions ALREADY
-    shifted by the phrase offset (position - i); each match with
-    matchLength = maxpos - minpos contributes 1/(1+matchLength), float32.
-
-    Matches the reference's greedy enumeration exactly, including its
-    documented asymmetries (not every valid combination is counted)."""
-    import heapq
-
-    k = len(pos_lists)
-    idx = [0] * k
-    pos = [int(p[0]) for p in pos_lists]
-    end = max(pos)
-    # heap ordered by (position, phrase offset, ord) — PhraseQueue.lessThan
-    heap = [(pos[i], i, i) for i in range(k)]
-    heapq.heapify(heap)
-    freq = np.float32(0.0)
-    one = np.float32(1.0)
-
-    def advance(i):
-        nonlocal end
-        idx[i] += 1
-        if idx[i] >= len(pos_lists[i]):
-            return False
-        pos[i] = int(pos_lists[i][idx[i]])
-        if pos[i] > end:
-            end = pos[i]
-        return True
-
-    _, _, cur = heapq.heappop(heap)
-    match_length = end - pos[cur]
-    nxt = heap[0][0]
-    while True:
-        if not advance(cur):
-            break
-        if pos[cur] > nxt:
-            heapq.heappush(heap, (pos[cur], cur, cur))
-            if match_length <= slop:
-                freq = freq + one / (one + np.float32(match_length))
-            _, _, cur = heapq.heappop(heap)
-            nxt = heap[0][0]
-            match_length = end - pos[cur]
-        else:
-            ml2 = end - pos[cur]
-            if ml2 < match_length:
-                match_length = ml2
-    if match_length <= slop:
-        freq = freq + one / (one + np.float32(match_length))
-    return freq
-
-
-def search_shard_phrase_sloppy(reader, terms: list[str], slop: int, scorer,
-                               k: int, after=None):
-    """Sloppy phrase over one shard: conjunction of the terms' postings, then
-    the greedy matcher per candidate doc; scored like a term with the summed
-    idf weight and float sloppy freq."""
-    tids, posting = [], []
-    for t in terms:
-        tid = reader.seek_exact(t)
-        if tid < 0:
-            return np.zeros(0, np.float32), np.zeros(0, np.int32), 0, RELATION_EQ
-        docs, freqs = reader.postings(tid)
-        pos = reader.positions(tid, freqs)
-        pb = np.concatenate(([0], np.cumsum(freqs.astype(np.int64))))
-        posting.append((docs, freqs, pos, pb))
-        tids.append(tid)
-    common = posting[0][0]
-    for docs, _, _, _ in posting[1:]:
-        common = np.intersect1d(common, docs, assume_unique=True)
-    if reader.deleted is not None and len(common):
-        common = common[~reader.deleted[common]]
-    if len(common) == 0:
-        return np.zeros(0, np.float32), np.zeros(0, np.int32), 0, RELATION_EQ
-
-    out_docs, out_freqs = [], []
-    for d in common:
-        pls = []
-        for i, (docs, freqs, pos, pb) in enumerate(posting):
-            j = int(np.searchsorted(docs, d))
-            pl = pos[int(pb[j]):int(pb[j + 1])].astype(np.int64) - i
-            pls.append(pl)
-        f = sloppy_freq(pls, slop)
-        if f > 0:
-            out_docs.append(int(d))
-            out_freqs.append(f)
-    if not out_docs:
-        return np.zeros(0, np.float32), np.zeros(0, np.int32), 0, RELATION_EQ
-    pdocs = np.array(out_docs, dtype=np.int32)
-    pfreq = np.array(out_freqs, dtype=np.float32)
-    scores = scorer.score(pfreq, reader.norms[pdocs])
-    if after is not None:
-        a_s, a_d = np.float32(after[0]), after[1]
-        keep = (scores < a_s) | ((scores == a_s) & (pdocs.astype(np.int64) > a_d))
-        pdocs, scores = pdocs[keep], scores[keep]
-    total = int(len(pdocs))
-    scores, pdocs = _top_k(scores, pdocs, k)
-    return scores, pdocs, total, RELATION_EQ
-
-
 class ConstFreqScorer:
     """Scorer yielding a constant score for any freq/norm — the
     CONSTANT_SCORE multi-term rewrite plugged into the phrase machinery
@@ -1172,89 +1114,6 @@ class ConstFreqScorer:
 
     def score(self, freqs: np.ndarray, norm_bytes: np.ndarray) -> np.ndarray:
         return np.full(len(freqs), self.boost, dtype=np.float32)
-
-
-def search_shard_phrase_general(reader, slots, slop: int, scorer, k: int,
-                                after=None, offsets=None):
-    """General phrase execution: multi-term slots (MultiPhraseQuery union
-    postings) and/or repeating terms, exact (slop=0) or sloppy.  Conjunction
-    over slot doc unions, then per candidate doc: merged slot positions
-    (sorted multiset union — UnionPostingsEnum semantics) fed to the exact
-    composite-key intersect (slop=0) or the full SloppyPhraseMatcher."""
-    from .phrase_matcher import SloppyPhraseMatcher
-
-    slot_data = []
-    for ts in slots:
-        per_term = []
-        for t in ts:
-            tid = reader.seek_exact(t)
-            if tid < 0:
-                continue
-            docs, freqs = reader.postings(tid)
-            pos = reader.positions(tid, freqs)
-            pb = np.concatenate(([0], np.cumsum(freqs.astype(np.int64))))
-            per_term.append((docs, pos, pb))
-        if not per_term:
-            return np.zeros(0, np.float32), np.zeros(0, np.int32), 0, RELATION_EQ
-        union_docs = per_term[0][0]
-        for docs, _, _ in per_term[1:]:
-            union_docs = np.union1d(union_docs, docs)
-        slot_data.append((per_term, union_docs))
-
-    common = slot_data[0][1]
-    for _, ud in slot_data[1:]:
-        common = np.intersect1d(common, ud, assume_unique=True)
-    if reader.deleted is not None and len(common):
-        common = common[~reader.deleted[common]]
-    if len(common) == 0:
-        return np.zeros(0, np.float32), np.zeros(0, np.int32), 0, RELATION_EQ
-
-    matcher = SloppyPhraseMatcher(
-        [tuple(ts) for ts in slots], slop,
-        offsets=list(offsets) if offsets is not None else None) \
-        if slop > 0 else None
-    out_docs, out_freqs = [], []
-    for d in common:
-        pls = []
-        for per_term, _ in slot_data:
-            parts = []
-            for docs, pos, pb in per_term:
-                j = int(np.searchsorted(docs, d))
-                if j < len(docs) and docs[j] == d:
-                    parts.append(pos[int(pb[j]):int(pb[j + 1])])
-            if len(parts) == 1:
-                pl = parts[0].astype(np.int64)
-            else:
-                pl = np.sort(np.concatenate(parts).astype(np.int64))
-            pls.append(pl)
-        if slop == 0:
-            # explicit slot offsets (NGramPhraseQuery sparse positions);
-            # default = consecutive
-            offs = offsets if offsets is not None else range(len(pls))
-            inter = np.unique(pls[0]) - offs[0]
-            for i in range(1, len(pls)):
-                inter = np.intersect1d(inter, np.unique(pls[i]) - offs[i],
-                                       assume_unique=True)
-                if len(inter) == 0:
-                    break
-            f = np.float32(len(inter))
-        else:
-            f = matcher.freq(pls)
-        if f > 0:
-            out_docs.append(int(d))
-            out_freqs.append(f)
-    if not out_docs:
-        return np.zeros(0, np.float32), np.zeros(0, np.int32), 0, RELATION_EQ
-    pdocs = np.array(out_docs, dtype=np.int32)
-    pfreq = np.array(out_freqs, dtype=np.float32)
-    scores = scorer.score(pfreq, reader.norms[pdocs])
-    total = int(len(pdocs))
-    if after is not None:
-        a_s, a_d = np.float32(after[0]), after[1]
-        keep = (scores < a_s) | ((scores == a_s) & (pdocs.astype(np.int64) > a_d))
-        pdocs, scores = pdocs[keep], scores[keep]
-    scores, pdocs = _top_k(scores, pdocs, k)
-    return scores, pdocs, total, RELATION_EQ
 
 
 def _min_span_ordered(pls: list[np.ndarray]) -> int:
@@ -1635,11 +1494,11 @@ def search_shard_synonym(reader, terms_boosts, scorer, k: int, after=None):
         matched &= ~reader.deleted
     cand = np.nonzero(matched)[0].astype(np.int32)
     sc = scorer.score(freq_acc[cand], reader.norms[cand])
+    total = int(len(cand))
     if after is not None:
         a_s, a_d = np.float32(after[0]), after[1]
         keep = (sc < a_s) | ((sc == a_s) & (cand.astype(np.int64) > a_d))
         cand, sc = cand[keep], sc[keep]
-    total = int(len(cand))
     sc, cand = _top_k(sc, cand, k)
     return sc, cand, total, RELATION_EQ
 

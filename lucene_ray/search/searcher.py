@@ -1166,14 +1166,10 @@ class IndexSearcher:
                                               self.doc_count, self.sum_ttf)
             slots = tuple(tuple(t for t in slot if self.df(t) > 0)
                           for slot in query.slots)
-            out = {"scoring": [], "filters": [], "must_nots": [], "msm": 0,
-                   "n_required": 0, "match_all": False,
-                   "phrase_general": (slots, scorer, int(query.slop))}
-            if getattr(query, "positions", ()):
-                # explicit slot positions (gaps) ride the same offsets
-                # channel the NGramPhrase rewrite uses
-                out["phrase_offsets"] = tuple(query.positions)
-            return out
+            return {"scoring": [], "filters": [], "must_nots": [], "msm": 0,
+                    "n_required": 0, "match_all": False,
+                    "phrase": (slots, scorer, int(query.slop),
+                               tuple(query.positions) or None)}
         from .query import PhraseWildcardQuery as _PWQ2
 
         if isinstance(query, _PWQ2):
@@ -1197,8 +1193,8 @@ class IndexSearcher:
                                               self.doc_count, self.sum_ttf)
             return {"scoring": [], "filters": [], "must_nots": [], "msm": 0,
                     "n_required": 0, "match_all": False,
-                    "phrase_general": (tuple((t,) for t in terms), scorer, 0),
-                    "phrase_offsets": tuple(offsets)}
+                    "phrase": (tuple((t,) for t in terms), scorer, 0,
+                               tuple(offsets))}
         if isinstance(query, PhraseQuery):
             # PhraseWeight: idf = SUM of the terms' idfs (idfExplain for
             # multiple termStats), float32 accumulation in term order
@@ -1211,15 +1207,10 @@ class IndexSearcher:
                 idf_sum = idf_sum + self.sim.idf(d, self.doc_count)
             scorer = self.sim.scorer_with_idf(query.boost, idf_sum,
                                               self.doc_count, self.sum_ttf)
-            if query.slop > 0 and len(set(query.terms)) != len(query.terms):
-                # repeating terms: full SloppyPhraseMatcher path
-                return {"scoring": [], "filters": [], "must_nots": [], "msm": 0,
-                        "n_required": 0, "match_all": False,
-                        "phrase_general": (tuple((t,) for t in query.terms),
-                                           scorer, int(query.slop))}
             return {"scoring": [], "filters": [], "must_nots": [], "msm": 0,
                     "n_required": 0, "match_all": False,
-                    "phrase": (list(query.terms), scorer, int(query.slop))}
+                    "phrase": (tuple((t,) for t in query.terms), scorer,
+                               int(query.slop), None)}
         from .query import RangeQuery as _RQ
         from .query import BooleanClause as _BC
 
@@ -1358,15 +1349,12 @@ class IndexSearcher:
             from .scorer import search_shard_nested
 
             return search_shard_nested(rdr, compiled["nested"], self, k, after=after)
-        if compiled.get("phrase_general"):
-            from .scorer import search_shard_phrase_general
-
-            slots, scorer, slop = compiled["phrase_general"]
-            return search_shard_phrase_general(
-                rdr, slots, slop, scorer, k, after=after,
-                offsets=compiled.get("phrase_offsets"))
+        if compiled.get("phrase"):
+            slots, scorer, slop, offsets = compiled["phrase"]
+            return search_shard_phrase(rdr, slots, slop, scorer, k,
+                                       after=after, offsets=offsets)
         if compiled.get("complex_phrase") is not None:
-            from .scorer import ConstFreqScorer, search_shard_phrase_general
+            from .scorer import ConstFreqScorer
 
             cpq = compiled["complex_phrase"]
             slots = []
@@ -1381,16 +1369,9 @@ class IndexSearcher:
                     return (np.zeros(0, np.float32), np.zeros(0, np.int32),
                             0, RELATION_EQ)
                 slots.append(tuple(sorted(set(terms))))
-            return search_shard_phrase_general(
-                rdr, slots, int(cpq.slop), ConstFreqScorer(cpq.boost),
-                k, after=after)
-        if compiled.get("phrase"):
-            terms, scorer, slop = compiled["phrase"]
-            if slop > 0:
-                from .scorer import search_shard_phrase_sloppy
-
-                return search_shard_phrase_sloppy(rdr, terms, slop, scorer, k, after=after)
-            return search_shard_phrase(rdr, terms, scorer, k, after=after)
+            return search_shard_phrase(rdr, slots, int(cpq.slop),
+                                       ConstFreqScorer(cpq.boost), k,
+                                       after=after)
         if compiled.get("interval") is not None:
             from .scorer import search_shard_interval
 

@@ -67,7 +67,7 @@ def test_long_phrase_no_phantom_docs(phrase_shard):
     for d in dfs:
         idf_sum = idf_sum + sim.idf(d, m["doc_count_field"])
     scorer = sim.scorer_with_idf(1.0, idf_sum, m["doc_count_field"], m["sum_ttf"])
-    scores, docs, total, _ = search_shard_phrase(rdr, NUMS, scorer, k=50)
+    scores, docs, total, _ = search_shard_phrase(rdr, [(t,) for t in NUMS], 0, scorer, k=50)
     # brute-force oracle on the raw text
     phrase = " ".join(NUMS)
     expect = {i for i, t in enumerate(texts) if phrase in t}

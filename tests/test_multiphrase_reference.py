@@ -80,7 +80,7 @@ def test_multi_exact_with_repeats(ray_session, tmp_path_factory):
 
 def test_memoryindex_gapped_positions():
     # Monitor verification path: MemoryIndex must honor explicit slot
-    # positions exactly like the engine's phrase_offsets channel
+    # positions exactly like the engine's phrase executor
     from lucene_ray.index.memoryindex import MemoryIndex
 
     q = MultiPhraseQuery((("quick",), ("fox",)), positions=(0, 2))

@@ -1,25 +1,26 @@
 """Sloppy phrase matching (non-repeating terms) — SloppyPhraseMatcher
-greedy-traversal semantics."""
+greedy-traversal semantics, through the matcher and the phrase executor."""
 
 import numpy as np
 import pyarrow as pa
 import pytest
 
 from lucene_ray.index.shard import ShardReader, write_shard
+from lucene_ray.search.phrase_matcher import SloppyPhraseMatcher
 from lucene_ray.search.query import PhraseQuery
-from lucene_ray.search.scorer import search_shard_phrase, search_shard_phrase_sloppy, sloppy_freq
+from lucene_ray.search.scorer import search_shard_phrase
 from lucene_ray.search.similarity import BM25Similarity
 
 
 def _freq(texts_tokens, phrase, slop):
-    """Run the matcher directly on offset-shifted position lists."""
+    """Run the matcher directly on the phrase terms' position lists."""
     pls = []
-    for i, t in enumerate(phrase):
-        pos = [j - i for j, w in enumerate(texts_tokens) if w == t]
+    for t in phrase:
+        pos = [j for j, w in enumerate(texts_tokens) if w == t]
         if not pos:
             return np.float32(0.0)
         pls.append(np.array(pos, dtype=np.int64))
-    return sloppy_freq(pls, slop)
+    return SloppyPhraseMatcher([(t,) for t in phrase], slop).freq(pls)
 
 
 def test_javadoc_example():
@@ -78,7 +79,8 @@ def test_shard_sloppy_matches_direct(shard):
     scorer = sim.scorer_with_idf(1.0, np.float32(1.0), m["doc_count_field"], m["sum_ttf"])
     for phrase, slop in [(("a", "b"), 2), (("a", "b"), 0), (("a", "b"), 1),
                          (("a", "b", "c"), 2), (("b", "c"), 3)]:
-        sc, dd, total, _ = search_shard_phrase_sloppy(rdr, list(phrase), slop, scorer, 20)
+        sc, dd, total, _ = search_shard_phrase(rdr, [(t,) for t in phrase], slop,
+                                               scorer, 20)
         want = {}
         for i, toks in enumerate(docs_tokens):
             f = _freq(toks, phrase, slop)
@@ -92,13 +94,18 @@ def test_shard_sloppy_matches_direct(shard):
 
 
 def test_slop0_equals_exact(shard):
-    rdr, m, _ = shard
+    """The exact kernel (slop 0) ranks like the sloppy matcher at slop 0."""
+    rdr, m, docs_tokens = shard
     sim = BM25Similarity()
     scorer = sim.scorer_with_idf(1.0, np.float32(1.0), m["doc_count_field"], m["sum_ttf"])
-    se, de, te, _ = search_shard_phrase(rdr, ["a", "b"], scorer, 20)
-    ss, ds, ts, _ = search_shard_phrase_sloppy(rdr, ["a", "b"], 0, scorer, 20)
-    assert np.array_equal(de, ds) and te == ts
-    assert np.array_equal(se, ss)
+    se, de, te, _ = search_shard_phrase(rdr, [("a",), ("b",)], 0, scorer, 20)
+    freqs = np.array([_freq(toks, ("a", "b"), 0) for toks in docs_tokens],
+                     dtype=np.float32)
+    ds = np.nonzero(freqs > 0)[0]
+    ss = scorer.score(freqs[ds], rdr.norms[ds])
+    order = np.lexsort((ds, -ss))
+    assert np.array_equal(de, ds[order]) and te == len(ds)
+    assert np.array_equal(se, ss[order])
 
 
 def test_repeating_terms_now_supported():

@@ -11,9 +11,10 @@ import pytest
 from lucene_ray.index.shard import ShardReader, write_shard
 from lucene_ray.search.phrase_matcher import SloppyPhraseMatcher
 from lucene_ray.search.query import MultiPhraseQuery, PhraseQuery
-from lucene_ray.search.scorer import sloppy_freq
+from lucene_ray.search.scorer import search_shard_phrase
 from lucene_ray.search.searcher import IndexSearcher
 from lucene_ray.search.similarity import BM25Similarity
+from test_phrase_routes import greedy_sloppy_freq
 
 
 def doc_freq(tokens, slots, slop) -> float:
@@ -97,8 +98,8 @@ def test_doc5_hhh_consistency():
 
 
 def test_parity_with_nonrepeating_greedy():
-    """On phrases WITHOUT repeats the full matcher must equal the fast
-    greedy matcher bit-for-bit."""
+    """On phrases WITHOUT repeats the full matcher must equal the greedy
+    reference matcher (tests/test_phrase_routes.py) bit-for-bit."""
     rng = np.random.default_rng(17)
     vocab = list("abcdefg")
     for _ in range(400):
@@ -116,7 +117,7 @@ def test_parity_with_nonrepeating_greedy():
             pls.append(np.array(pos, dtype=np.int64))
         if not ok:
             continue
-        fast = sloppy_freq(pls, slop)
+        fast = greedy_sloppy_freq(pls, slop)
         full = doc_freq(doc, [(t,) for t in phrase], slop)
         assert np.float32(full) == fast, (doc, phrase, slop)
 
@@ -156,16 +157,11 @@ def repeat_shard(tmp_path_factory):
 
 
 def _mini_searcher(shard_dir):
-    """Single-shard searcher bypassing the commit machinery."""
-    from lucene_ray.search.scorer import search_shard_phrase_general
-
-    rdr = ShardReader(f"{shard_dir}/shard-00000")
-    return rdr
+    """Single-shard reader bypassing the commit machinery."""
+    return ShardReader(f"{shard_dir}/shard-00000")
 
 
 def test_end_to_end_repeating_sloppy(repeat_shard):
-    from lucene_ray.search.scorer import search_shard_phrase_general
-
     d, texts = repeat_shard
     rdr = _mini_searcher(d)
     sim = BM25Similarity()
@@ -174,7 +170,7 @@ def test_end_to_end_repeating_sloppy(repeat_shard):
     scorer = sim.scorer_with_idf(1.0, np.float32(1.0),
                                  int(m["doc_count_field"]), int(m["sum_ttf"]))
     slots = (("a",), ("a",), ("a",))
-    scores, docs, total, _ = search_shard_phrase_general(rdr, slots, 6, scorer, 10)
+    scores, docs, total, _ = search_shard_phrase(rdr, slots, 6, scorer, 10)
     got = set(docs.tolist())
     expect = {i for i, t in enumerate(texts)
               if doc_freq(t.lower().split(), [("a",)] * 3, 6) > 0}
@@ -182,8 +178,6 @@ def test_end_to_end_repeating_sloppy(repeat_shard):
 
 
 def test_end_to_end_multiphrase(repeat_shard):
-    from lucene_ray.search.scorer import search_shard_phrase_general
-
     d, texts = repeat_shard
     rdr = _mini_searcher(d)
     sim = BM25Similarity()
@@ -191,7 +185,7 @@ def test_end_to_end_multiphrase(repeat_shard):
     scorer = sim.scorer_with_idf(1.0, np.float32(1.0),
                                  int(m["doc_count_field"]), int(m["sum_ttf"]))
     slots = (("quick", "fast"), ("fox",))
-    scores, docs, total, _ = search_shard_phrase_general(rdr, slots, 0, scorer, 10)
+    scores, docs, total, _ = search_shard_phrase(rdr, slots, 0, scorer, 10)
     expect = {i for i, t in enumerate(texts)
               if doc_freq(t.lower().split(), [("quick", "fast"), ("fox",)], 0) > 0}
     assert set(docs.tolist()) == expect
